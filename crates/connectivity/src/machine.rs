@@ -1053,8 +1053,11 @@ impl ConnMachine {
         let y = e.other(x.v);
         let yi = self.verts.info(y);
         let (y_comp, y_size, y_f, y_l) = (yi.comp, yi.size, yi.f, yi.l);
-        // Reroot y's tree at y, then link after f(x).
+        // Reroot y's tree at y, then link after f(x). A tree of >= 2
+        // vertices gives y two indexes, both >= 1, so l(y) >= 1 as
+        // `ShiftMap::reroot` requires.
         let reroot = if y_size > 1 && y_f != 1 {
+            debug_assert!(y_l >= 1, "reroot of {y} with l = 0");
             Some(TourOp::Reroot {
                 comp: y_comp,
                 elen: 4 * (y_size - 1),

@@ -15,12 +15,13 @@
 //!   compact when holes outgrow live data, so the resident footprint stays
 //!   linear in the shard.
 //!
-//! Both layouts run the *identical* structural-op mathematics: the
-//! per-vertex core update ([`update_core`]) and the per-entry annotation
-//! rewrite ([`rewrite_entry`]) are single shared functions, so the layouts
-//! can only differ in iteration order — and every fold over entries
-//! (replacement candidates, path maxima) uses an explicit total-order
-//! tie-break, making the results order-independent. Snapshot emission sorts
+//! Both layouts run the *identical* structural-op mathematics: each
+//! broadcast becomes one op plan ([`LinkPlan`] or [`CutPlan`]) holding its
+//! index maps, and the per-vertex move ([`OpPlan`]) and the per-entry
+//! annotation rewrite ([`rewrite_entry`]) are single shared functions, so
+//! the layouts can only differ in iteration order — and every fold over
+//! entries (replacement candidates, path maxima) uses an explicit
+//! total-order tie-break, making the results order-independent. Snapshot emission sorts
 //! by vertex and far endpoint, so `snapshot_text` (and therefore every
 //! `state_digest`) is bit-identical across layouts; property tests pin this
 //! on mixed update streams, including across kill/revive and split/merge
@@ -32,11 +33,14 @@
 //! rather than paying a hash per access on the hot path.
 
 use crate::messages::{CutMode, StructBroadcast, VertexInfo};
-use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot, CompId, TourOp};
+use dmpc_eulertour::indexed::{CompId, ShiftMap, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::Layout;
 use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod reference;
 
 /// An adjacency entry at one endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,7 +111,7 @@ impl VertexState {
 }
 
 /// What a structural-op sweep learned while applying to the local shard.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct ApplyOutcome {
     /// Local best replacement candidate (searching cuts only).
     pub best: Option<(Edge, Weight)>,
@@ -119,240 +123,397 @@ pub(crate) struct ApplyOutcome {
 
 // ----- shared structural-op mathematics ---------------------------------
 //
-// The subtle index arithmetic lives exactly once, as pure functions over a
-// vertex's core fields and one adjacency entry; each layout supplies only
-// the iteration around them.
+// The sweep's index arithmetic lives exactly once, in the two op plans
+// below: a broadcast becomes its index maps once, and each layout supplies
+// only the iteration around them. Every map is a `ShiftMap` (at most two
+// translated pieces). Link and cut maps are monotone, so a vertex's sorted
+// index list stays sorted when mapped in place; only a reroot rotates it.
 
-/// Per-vertex membership flags computed by [`update_core`], consumed by
-/// [`rewrite_entry`] for every adjacency entry of that vertex.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct VertFlags {
-    /// The vertex belonged to the rerooted (absorbed) component.
-    reroot_member: bool,
-    /// The vertex belongs to one of the two linked components.
-    link_member: bool,
-    /// ... specifically to the absorbed side `b`.
-    link_from_b: bool,
-    /// The vertex belonged to the cut component.
-    was_member: bool,
-    /// ... and ended up on the detached (child) side.
-    my_detached: bool,
+/// How one member vertex of an op's component moves.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct VertexMove {
+    /// Map of the vertex's own tour indexes, and so of its tree entries,
+    /// whose two indexes are always among the vertex's own.
+    map: ShiftMap,
+    /// The map is a reroot rotation: mapped lists rotate, tree entries may
+    /// swap `lo`/`hi`.
+    rotates: bool,
+    /// Component id after the op.
+    comp: CompId,
+    /// Component size after the op.
+    size: u64,
+    /// Searching cuts: the vertex's side (`true` = detached). A non-tree
+    /// entry into the cut component that ends on the other side is a
+    /// replacement candidate.
+    search_side: Option<bool>,
 }
 
-/// True iff `update_core` would touch a vertex with component id `c` at
-/// all — lets the SoA sweep skip the tour-index copy for bystanders.
-#[inline]
-pub(crate) fn core_member(b: &StructBroadcast, c: CompId) -> bool {
-    let rerooted = matches!(b.reroot, Some(TourOp::Reroot { comp, .. }) if comp == c);
-    let main = match b.main {
-        TourOp::Link { a, b: bc, .. } => c == a || c == bc,
-        TourOp::Cut { comp, .. } => c == comp,
-        TourOp::Reroot { .. } => false,
-    };
-    rerooted || main
+impl VertexMove {
+    /// Maps a sorted index list in place, keeping it sorted.
+    fn apply(&self, idx: &mut [TourIx]) {
+        let split = if self.rotates {
+            idx.partition_point(|&i| i < self.map.at)
+        } else {
+            0
+        };
+        for i in idx.iter_mut() {
+            *i = self.map.apply(*i);
+        }
+        idx.rotate_left(split);
+    }
 }
 
-/// Applies the broadcast's reroot + main op to one vertex's component id,
-/// size and tour-index list (the per-vertex "core"). Returns the membership
-/// flags the per-entry rewrite needs.
-pub(crate) fn update_core(
-    b: &StructBroadcast,
-    v: V,
-    comp: &mut CompId,
-    size: &mut u64,
-    idx: &mut Vec<TourIx>,
-) -> VertFlags {
-    let mut fl = VertFlags::default();
-    // 1. Reroot (links only): a bijection on the absorbed component's
-    // index space. Never changes the component id.
-    if let Some(r @ TourOp::Reroot { comp: rc, .. }) = b.reroot {
-        if *comp == rc {
-            fl.reroot_member = true;
-            apply_op_to_vertex(&r, v, *comp, idx);
-        }
+/// One broadcast's main op (with its reroot), turned into index maps once.
+pub(crate) trait OpPlan {
+    /// True iff the op moves the vertices of component `c` and rewrites the
+    /// non-tree entries whose far endpoint lies in `c`.
+    fn touches(&self, c: CompId) -> bool;
+    /// True iff `v` is an endpoint of the op's edge, whose index count
+    /// changes.
+    fn is_endpoint(&self, v: V) -> bool;
+    /// The move of member `v` of component `c` with component size `size`,
+    /// whose sorted indexes are `idx` (endpoints: after the op's removals).
+    fn member_move(&self, v: V, c: CompId, size: u64, idx: &[TourIx]) -> VertexMove;
+    /// Moves an endpoint's index list, dropping or adding the op edge's own
+    /// indexes.
+    fn endpoint_move(&self, v: V, c: CompId, size: u64, idx: &mut Vec<TourIx>) -> VertexMove;
+    /// Rewrites the cached far index and far component of a non-tree entry
+    /// into a touched component. `side` is the owning vertex's
+    /// [`VertexMove::search_side`]; returns true iff the entry is a crossing
+    /// replacement candidate.
+    fn rewrite_cached(
+        &self,
+        far: V,
+        cached: &mut TourIx,
+        far_comp: &mut CompId,
+        side: Option<bool>,
+    ) -> bool;
+    /// A cut's (surviving, detached) component ids; [`COMP_NONE`] twice for
+    /// a link.
+    fn split(&self) -> (CompId, CompId);
+
+    /// Moves a non-endpoint member's index list in place.
+    fn move_in_place(&self, v: V, c: CompId, size: u64, idx: &mut [TourIx]) -> VertexMove {
+        let mv = self.member_move(v, c, size, idx);
+        mv.apply(idx);
+        mv
     }
-    // 2. Main op.
-    match b.main {
-        TourOp::Link { a, b: bc, .. } => {
-            let old = *comp;
-            if old == a || old == bc {
-                fl.link_member = true;
-                fl.link_from_b = old == bc;
-                *comp = apply_op_to_vertex(&b.main, v, old, idx);
-                *size = b.merged_size;
-            }
-        }
-        TourOp::Cut {
-            comp: c,
-            fy,
-            ly,
-            new_comp,
-            ..
-        } => {
-            if *comp == c {
-                fl.was_member = true;
-                let k_sub = (ly - fy).div_ceil(4);
-                let old_size = *size;
-                *comp = apply_op_to_vertex(&b.main, v, *comp, idx);
-                fl.my_detached = *comp == new_comp;
-                *size = if fl.my_detached {
-                    k_sub
-                } else {
-                    old_size - k_sub
-                };
-            }
-        }
-        TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
-    }
-    fl
 }
 
-/// Rewrites one adjacency entry's annotations under the broadcast ops and
-/// folds crossing-edge replacement candidates (searching cuts).
-///
-/// Tree entries always live in the owner's component's index space;
-/// non-tree cached indexes live in `far_comp`'s index space (the two can
-/// differ transiently between a cut and its reconnecting link). Must be
-/// called after [`update_core`] updated the vertex's core.
-#[inline]
-pub(crate) fn rewrite_entry(
-    b: &StructBroadcast,
-    fl: &VertFlags,
-    v: V,
-    far: V,
-    kind: &mut EntryKind,
-    w: Weight,
-    best: &mut Option<(Weight, Edge)>,
-) {
-    // 1. Reroot phase.
-    if let Some(TourOp::Reroot {
-        comp: rc,
-        elen,
-        l_y,
-        ..
-    }) = b.reroot
-    {
-        match kind {
-            EntryKind::Tree { lo, hi } if fl.reroot_member => {
-                let (a, c) = (map_reroot(*lo, elen, l_y), map_reroot(*hi, elen, l_y));
-                *lo = a.min(c);
-                *hi = a.max(c);
-            }
-            EntryKind::NonTree { cached, far_comp } if *far_comp == rc => {
-                *cached = map_reroot(*cached, elen, l_y);
-            }
-            _ => {}
-        }
-    }
-    // 2. Main op.
-    match b.main {
-        TourOp::Link {
+/// A link of `b`'s tree (rerooted at `y` first, if needed) below `x` in `a`.
+pub(crate) struct LinkPlan {
+    a: CompId,
+    b: CompId,
+    x: V,
+    y: V,
+    fx: TourIx,
+    elen_b: TourIx,
+    merged_size: u64,
+    /// `a`'s map: indexes after the splice point move past `b`'s tour.
+    map_a: ShiftMap,
+    /// `b`'s map: the reroot rotation (if any), then the splice offset.
+    map_b: ShiftMap,
+    rerooted: bool,
+}
+
+impl LinkPlan {
+    fn new(b: &StructBroadcast) -> Self {
+        let TourOp::Link {
             a,
             b: bc,
+            x,
+            y,
             fx,
             elen_b,
-            ..
-        } => {
-            let shift_b = fx + 2;
-            let shift_a = elen_b + 4;
-            match kind {
-                EntryKind::Tree { lo, hi } if fl.link_member => {
-                    let map = |i: TourIx| {
-                        if fl.link_from_b {
-                            i + shift_b
-                        } else if i > fx {
-                            i + shift_a
-                        } else {
-                            i
-                        }
-                    };
-                    *lo = map(*lo);
-                    *hi = map(*hi);
-                }
-                EntryKind::NonTree { cached, far_comp } => {
-                    if *far_comp == bc {
-                        // cached == 0 means the far endpoint was a
-                        // singleton, i.e. it is the link's y, whose
-                        // first new index is fx+2 (== 0 + shift_b).
-                        *cached += shift_b;
-                        *far_comp = a;
-                    } else if *far_comp == a {
-                        if *cached == 0 {
-                            // Far endpoint was a singleton = the link's
-                            // x; its first new index is fx+1 (fx = 0).
-                            *cached = fx + 1;
-                        } else if *cached > fx {
-                            *cached += shift_a;
-                        }
-                    }
-                }
-                _ => {}
+        } = b.main
+        else {
+            unreachable!("link plan of a non-link op")
+        };
+        let map_b = match b.reroot {
+            None => ShiftMap::shift(fx + 2),
+            Some(TourOp::Reroot {
+                comp, elen, l_y, ..
+            }) => {
+                assert_eq!(comp, bc, "a reroot only ever turns the absorbed side");
+                ShiftMap::reroot(elen, l_y).then_shift(fx + 2)
             }
+            Some(op) => unreachable!("{op:?} is not a reroot"),
+        };
+        LinkPlan {
+            a,
+            b: bc,
+            x,
+            y,
+            fx,
+            elen_b,
+            merged_size: b.merged_size,
+            map_a: ShiftMap::shift_from(fx + 1, elen_b + 4),
+            map_b,
+            rerooted: b.reroot.is_some(),
         }
-        TourOp::Cut {
+    }
+}
+
+impl OpPlan for LinkPlan {
+    #[inline]
+    fn touches(&self, c: CompId) -> bool {
+        c == self.a || c == self.b
+    }
+
+    #[inline]
+    fn is_endpoint(&self, v: V) -> bool {
+        v == self.x || v == self.y
+    }
+
+    #[inline]
+    fn member_move(&self, _v: V, c: CompId, _size: u64, _idx: &[TourIx]) -> VertexMove {
+        let from_b = c == self.b;
+        VertexMove {
+            map: if from_b { self.map_b } else { self.map_a },
+            rotates: from_b && self.rerooted,
+            comp: self.a,
+            size: self.merged_size,
+            search_side: None,
+        }
+    }
+
+    fn endpoint_move(&self, v: V, c: CompId, size: u64, idx: &mut Vec<TourIx>) -> VertexMove {
+        let mv = self.move_in_place(v, c, size, idx);
+        // The new edge's four tour positions: x's two around the spliced
+        // tour, y's two at its ends.
+        if c == self.b {
+            if v == self.y {
+                idx.push(self.fx + 2);
+                idx.push(self.fx + self.elen_b + 3);
+            }
+        } else if v == self.x {
+            idx.push(self.fx + 1);
+            idx.push(self.fx + self.elen_b + 4);
+        }
+        idx.sort_unstable();
+        mv
+    }
+
+    #[inline]
+    fn rewrite_cached(
+        &self,
+        _far: V,
+        cached: &mut TourIx,
+        far_comp: &mut CompId,
+        _side: Option<bool>,
+    ) -> bool {
+        if *far_comp == self.b {
+            // cached == 0 means the far endpoint was a singleton, i.e. it is
+            // the link's y, whose first new index is fx+2 (== map_b(0)).
+            *cached = self.map_b.apply(*cached);
+            *far_comp = self.a;
+        } else if *cached == 0 {
+            // Far endpoint was a singleton = the link's x; its first new
+            // index is fx+1 (fx = 0).
+            *cached = self.fx + 1;
+        } else {
+            *cached = self.map_a.apply(*cached);
+        }
+        false
+    }
+
+    fn split(&self) -> (CompId, CompId) {
+        (COMP_NONE, COMP_NONE)
+    }
+}
+
+/// A cut of tree edge `(x, y)`, `x` the parent: `y`'s subtree, positions
+/// `fy..=ly`, becomes component `new_comp`.
+pub(crate) struct CutPlan {
+    comp: CompId,
+    new_comp: CompId,
+    x: V,
+    y: V,
+    fy: TourIx,
+    ly: TourIx,
+    x_after: TourIx,
+    /// Size of the detached side.
+    k_sub: u64,
+    /// Collect replacement candidates (the cut has a rendezvous).
+    search: bool,
+    /// Detached side: every index moves down by `fy`.
+    inside: ShiftMap,
+    /// Surviving side: indexes after the subtree close its gap.
+    outside: ShiftMap,
+}
+
+impl CutPlan {
+    fn new(b: &StructBroadcast) -> Self {
+        let TourOp::Cut {
             comp,
             x,
             y,
             fy,
             ly,
             new_comp,
-        } => {
-            // The cut edge's own entries are rewritten afterwards (by the
-            // materialization step).
-            if (v == x && far == y) || (v == y && far == x) {
-                return;
-            }
-            let span = (ly - fy + 1) + 2;
-            let child_singleton = ly == fy + 1;
-            match kind {
-                EntryKind::Tree { lo, hi } => {
-                    if !fl.was_member {
-                        return;
-                    }
-                    // A surviving tree edge lies on one side.
-                    let map = |i: TourIx| {
-                        if i > fy && i < ly {
-                            i - fy
-                        } else if i > ly {
-                            i - span
-                        } else {
-                            i
-                        }
-                    };
-                    *lo = map(*lo);
-                    *hi = map(*hi);
-                }
-                EntryKind::NonTree { cached, far_comp } => {
-                    if *far_comp != comp {
-                        return;
-                    }
-                    // Classify the far side, repairing the dying
-                    // indexes of the cut edge's endpoints.
-                    if far == y {
-                        *far_comp = new_comp;
-                        *cached = if child_singleton { 0 } else { 1 };
-                    } else if far == x {
-                        *cached = b.x_after;
-                    } else if *cached > fy && *cached < ly {
-                        *far_comp = new_comp;
-                        *cached -= fy;
-                    } else if *cached > ly {
-                        *cached -= span;
-                    }
-                    if b.rendezvous.is_some()
-                        && fl.was_member
-                        && (*far_comp == new_comp) != fl.my_detached
-                    {
-                        // Crossing edge: replacement candidate.
-                        let cand = (w, Edge::new(v, far));
-                        if best.is_none_or(|cur| cand < cur) {
-                            *best = Some(cand);
-                        }
-                    }
-                }
-            }
+        } = b.main
+        else {
+            unreachable!("cut plan of a non-cut op")
+        };
+        debug_assert!(b.reroot.is_none(), "a cut carries no reroot");
+        // The subtree's span plus the edge's two parent-side positions.
+        let span = (ly - fy + 1) + 2;
+        CutPlan {
+            comp,
+            new_comp,
+            x,
+            y,
+            fy,
+            ly,
+            x_after: b.x_after,
+            k_sub: (ly - fy).div_ceil(4),
+            search: b.rendezvous.is_some(),
+            inside: ShiftMap::shift(fy.wrapping_neg()),
+            outside: ShiftMap::shift_from(ly + 1, span.wrapping_neg()),
         }
-        TourOp::Reroot { .. } => unreachable!(),
+    }
+
+    /// True iff tour position `i` lies strictly inside the cut subtree.
+    #[inline]
+    fn inside(&self, i: TourIx) -> bool {
+        i > self.fy && i < self.ly
+    }
+}
+
+impl OpPlan for CutPlan {
+    #[inline]
+    fn touches(&self, c: CompId) -> bool {
+        c == self.comp
+    }
+
+    #[inline]
+    fn is_endpoint(&self, v: V) -> bool {
+        v == self.x || v == self.y
+    }
+
+    #[inline]
+    fn member_move(&self, v: V, _c: CompId, size: u64, idx: &[TourIx]) -> VertexMove {
+        // A vertex's indexes all lie on one side. One with none left is a
+        // singleton; the child endpoint y forms the new component alone.
+        let detached = match idx.first() {
+            Some(&i) => self.inside(i),
+            None => v == self.y,
+        };
+        debug_assert!(
+            idx.iter().all(|&i| self.inside(i) == detached),
+            "indexes of {v} straddle the cut"
+        );
+        VertexMove {
+            map: if detached { self.inside } else { self.outside },
+            rotates: false,
+            comp: if detached { self.new_comp } else { self.comp },
+            size: if detached {
+                self.k_sub
+            } else {
+                size - self.k_sub
+            },
+            search_side: self.search.then_some(detached),
+        }
+    }
+
+    fn endpoint_move(&self, v: V, c: CompId, size: u64, idx: &mut Vec<TourIx>) -> VertexMove {
+        // Drop the cut edge's four tour positions.
+        let gone = if v == self.x {
+            [self.fy - 1, self.ly + 1]
+        } else {
+            [self.fy, self.ly]
+        };
+        idx.retain(|i| !gone.contains(i));
+        self.move_in_place(v, c, size, idx)
+    }
+
+    #[inline]
+    fn rewrite_cached(
+        &self,
+        far: V,
+        cached: &mut TourIx,
+        far_comp: &mut CompId,
+        side: Option<bool>,
+    ) -> bool {
+        // Classify the far side, repairing the dying indexes of the cut
+        // edge's endpoints.
+        if far == self.y {
+            *far_comp = self.new_comp;
+            *cached = if self.ly == self.fy + 1 { 0 } else { 1 };
+        } else if far == self.x {
+            *cached = self.x_after;
+        } else if self.inside(*cached) {
+            *far_comp = self.new_comp;
+            *cached = self.inside.apply(*cached);
+        } else {
+            *cached = self.outside.apply(*cached);
+        }
+        side.is_some_and(|detached| (*far_comp == self.new_comp) != detached)
+    }
+
+    fn split(&self) -> (CompId, CompId) {
+        (self.comp, self.new_comp)
+    }
+}
+
+/// Rewrites one adjacency entry — tree tag `tree`, annotation words `a`
+/// (`lo` / `cached`) and `b` (`hi` / `far_comp`) — of a vertex that moved
+/// as `mv` (`None`: it is not in the op's component). Returns true iff the
+/// entry is a crossing replacement candidate of a searching cut.
+///
+/// Tree entries always live in the owner's component's index space;
+/// non-tree cached indexes live in `far_comp`'s index space (the two can
+/// differ transiently between a cut and its reconnecting link). A cut
+/// edge's own tree entries are mapped like any other; the materialization
+/// step then removes or replaces them.
+#[inline]
+fn rewrite_entry<P: OpPlan>(
+    p: &P,
+    mv: Option<&VertexMove>,
+    far: V,
+    tree: bool,
+    a: &mut u64,
+    b: &mut u64,
+) -> bool {
+    if tree {
+        if let Some(mv) = mv {
+            let (lo, hi) = (mv.map.apply(*a), mv.map.apply(*b));
+            (*a, *b) = if mv.rotates {
+                (lo.min(hi), lo.max(hi))
+            } else {
+                (lo, hi)
+            };
+        }
+        return false;
+    }
+    let mut fc = *b as CompId;
+    if !p.touches(fc) {
+        return false;
+    }
+    let side = mv.and_then(|mv| mv.search_side);
+    let crossing = p.rewrite_cached(far, a, &mut fc, side);
+    *b = fc as u64;
+    crossing
+}
+
+/// Folds a crossing candidate into the running minimum by (weight, edge).
+#[inline]
+fn offer(best: &mut Option<(Weight, Edge)>, w: Weight, v: V, far: V) {
+    let cand = (w, Edge::new(v, far));
+    if best.is_none_or(|cur| cand < cur) {
+        *best = Some(cand);
+    }
+}
+
+impl ApplyOutcome {
+    /// Notes which side of a cut (`split`) a vertex of component `c` is on.
+    #[inline]
+    fn note_side(&mut self, (parent, child): (CompId, CompId), c: CompId) {
+        if c == parent {
+            self.owns_parent = true;
+        } else if c == child {
+            self.owns_child = true;
+        }
     }
 }
 
@@ -383,25 +544,33 @@ impl MapShard {
             .expect("vertex not owned by this machine")
     }
 
-    fn apply_sweep(&mut self, b: &StructBroadcast) -> ApplyOutcome {
+    fn sweep<P: OpPlan>(&mut self, p: &P) -> ApplyOutcome {
         let mut best: Option<(Weight, Edge)> = None;
         let mut outcome = ApplyOutcome::default();
         for (&v, st) in self.verts.iter_mut() {
-            let fl = if core_member(b, st.comp) {
-                update_core(b, v, &mut st.comp, &mut st.size, &mut st.idx)
-            } else {
-                VertFlags::default()
-            };
+            let mv = p.touches(st.comp).then(|| {
+                let mv = if p.is_endpoint(v) {
+                    p.endpoint_move(v, st.comp, st.size, &mut st.idx)
+                } else {
+                    p.move_in_place(v, st.comp, st.size, &mut st.idx)
+                };
+                st.comp = mv.comp;
+                st.size = mv.size;
+                mv
+            });
+            outcome.note_side(p.split(), st.comp);
             for (&far, (kind, w)) in st.adj.iter_mut() {
-                rewrite_entry(b, &fl, v, far, kind, *w, &mut best);
-            }
-            // Collect cut-side membership inline (`st.comp` is final here;
-            // the entry materialization never changes comp ids).
-            if let TourOp::Cut { comp, new_comp, .. } = b.main {
-                if st.comp == comp {
-                    outcome.owns_parent = true;
-                } else if st.comp == new_comp {
-                    outcome.owns_child = true;
+                let crossing = match kind {
+                    EntryKind::Tree { lo, hi } => rewrite_entry(p, mv.as_ref(), far, true, lo, hi),
+                    EntryKind::NonTree { cached, far_comp } => {
+                        let mut fc = *far_comp as u64;
+                        let crossing = rewrite_entry(p, mv.as_ref(), far, false, cached, &mut fc);
+                        *far_comp = fc as CompId;
+                        crossing
+                    }
+                };
+                if crossing {
+                    offer(&mut best, *w, v, far);
                 }
             }
         }
@@ -469,7 +638,7 @@ pub(crate) struct SoaShard {
     /// never turns a shard that *would* fit compactly into a capacity
     /// violation.
     soft_cap: usize,
-    /// Reusable copy-out buffer for the tour kernel.
+    /// Reusable copy-out buffer for the op edge's endpoints in the sweep.
     scratch: Vec<TourIx>,
 }
 
@@ -820,105 +989,58 @@ impl SoaShard {
         }
     }
 
-    fn apply_sweep(&mut self, b: &StructBroadcast) -> ApplyOutcome {
+    /// Applies one op plan to every owned slot. A member's tour segment is
+    /// mapped in place; only the op edge's endpoints, whose index counts
+    /// change, go through the scratch copy and `tour_store`.
+    fn sweep<P: OpPlan>(&mut self, p: &P) -> ApplyOutcome {
         let mut best: Option<(Weight, Edge)> = None;
         let mut outcome = ApplyOutcome::default();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let (cut_comp, cut_new) = match b.main {
-            TourOp::Cut { comp, new_comp, .. } => (comp, new_comp),
-            _ => (COMP_NONE, COMP_NONE),
-        };
-        // For a bystander vertex (default flags), `rewrite_entry` only ever
-        // touches non-tree entries whose `far_comp` is one of the broadcast's
-        // named components: the tree arms and the candidate fold are all
-        // gated on membership flags. Precompute that id set so the bystander
-        // loop can skip the decode/encode round-trip for everything else.
-        let mut affected = [COMP_NONE; 3];
-        if let Some(TourOp::Reroot { comp, .. }) = b.reroot {
-            affected[0] = comp;
-        }
-        match b.main {
-            TourOp::Link { a, b: bc, .. } => {
-                affected[1] = a;
-                affected[2] = bc;
-            }
-            TourOp::Cut { comp, .. } => affected[1] = comp,
-            TourOp::Reroot { .. } => {}
-        }
         for slot in 0..self.comp.len() {
             let c = self.comp[slot];
             if c == COMP_NONE {
                 continue;
             }
             let v = self.base + slot as V;
+            let mv = p.touches(c).then(|| self.move_slot(p, slot, v, c));
+            outcome.note_side(p.split(), self.comp[slot]);
             let s = self.apos[slot];
-            let seg = s.start as usize..(s.start + s.len) as usize;
-            if !core_member(b, c) {
-                if c == cut_comp {
-                    outcome.owns_parent = true;
-                } else if c == cut_new {
-                    outcome.owns_child = true;
+            for i in s.start as usize..(s.start + s.len) as usize {
+                let tagged = self.afar[i];
+                let far = tagged & !TREE_BIT;
+                let tree = tagged & TREE_BIT != 0;
+                if rewrite_entry(p, mv.as_ref(), far, tree, &mut self.aa[i], &mut self.ab[i]) {
+                    offer(&mut best, self.aw[i], v, far);
                 }
-                let fl = VertFlags::default();
-                for i in seg {
-                    let tagged = self.afar[i];
-                    if tagged & TREE_BIT != 0 {
-                        continue;
-                    }
-                    let fc = self.ab[i] as CompId;
-                    if fc != affected[0] && fc != affected[1] && fc != affected[2] {
-                        continue;
-                    }
-                    let mut kind = decode_kind(tagged, self.aa[i], self.ab[i]);
-                    rewrite_entry(
-                        b,
-                        &fl,
-                        v,
-                        tagged & !TREE_BIT,
-                        &mut kind,
-                        self.aw[i],
-                        &mut best,
-                    );
-                    let (_, a, bb) = encode_kind(&kind);
-                    self.aa[i] = a;
-                    self.ab[i] = bb;
-                }
-                continue;
-            }
-            scratch.clear();
-            scratch.extend_from_slice(self.tour_slice(slot));
-            let mut comp = c;
-            let mut size = self.size[slot] as u64;
-            let fl = update_core(b, v, &mut comp, &mut size, &mut scratch);
-            self.comp[slot] = comp;
-            self.size[slot] = size as u32;
-            self.tour_store(slot, &scratch, TOUR_HEADROOM);
-            if comp == cut_comp {
-                outcome.owns_parent = true;
-            } else if comp == cut_new {
-                outcome.owns_child = true;
-            }
-            // tour_store may relocate segments, but never the adjacency
-            // arena; `seg` stays valid.
-            for i in seg {
-                let mut kind = decode_kind(self.afar[i], self.aa[i], self.ab[i]);
-                rewrite_entry(
-                    b,
-                    &fl,
-                    v,
-                    self.afar[i] & !TREE_BIT,
-                    &mut kind,
-                    self.aw[i],
-                    &mut best,
-                );
-                let (_, a, bb) = encode_kind(&kind);
-                self.aa[i] = a;
-                self.ab[i] = bb;
             }
         }
-        self.scratch = scratch;
         outcome.best = best.map(|(w, e)| (e, w));
         outcome
+    }
+
+    /// Moves member `v` (slot `slot`, component `c`): its tour segment,
+    /// component id and size.
+    fn move_slot<P: OpPlan>(&mut self, p: &P, slot: usize, v: V, c: CompId) -> VertexMove {
+        let size = self.size[slot] as u64;
+        let mv = if p.is_endpoint(v) {
+            let mut idx = std::mem::take(&mut self.scratch);
+            idx.clear();
+            idx.extend_from_slice(self.tour_slice(slot));
+            let mv = p.endpoint_move(v, c, size, &mut idx);
+            self.tour_store(slot, &idx, TOUR_HEADROOM);
+            self.scratch = idx;
+            mv
+        } else {
+            let t = self.tpos[slot];
+            p.move_in_place(
+                v,
+                c,
+                size,
+                &mut self.tour[t.start as usize..(t.start + t.len) as usize],
+            )
+        };
+        self.comp[slot] = mv.comp;
+        self.size[slot] = mv.size as u32;
+        mv
     }
 }
 
@@ -1099,15 +1221,28 @@ impl Shard {
     }
 
     /// Applies a structural op to all owned state; returns the local
-    /// replacement candidate and split-side membership (cuts). The sweep is
-    /// layout-specific; the cut/link entry materialization below it is the
-    /// shared protocol step.
+    /// replacement candidate and split-side membership (cuts). The sweep
+    /// runs the op's plan over the layout; the cut/link entry
+    /// materialization after it is the shared protocol step.
     pub fn apply_struct(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        let outcome = match self {
-            Shard::Map(m) => m.apply_sweep(b),
-            Shard::Soa(s) => s.apply_sweep(b),
+        let outcome = match b.main {
+            TourOp::Link { .. } => self.sweep(&LinkPlan::new(b)),
+            TourOp::Cut { .. } => self.sweep(&CutPlan::new(b)),
+            TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
         };
-        // Materialize the new/updated edge entries at owned endpoints.
+        self.materialize_edge(b);
+        outcome
+    }
+
+    fn sweep<P: OpPlan>(&mut self, p: &P) -> ApplyOutcome {
+        match self {
+            Shard::Map(m) => m.sweep(p),
+            Shard::Soa(s) => s.sweep(p),
+        }
+    }
+
+    /// Materializes the linked or cut edge's entries at owned endpoints.
+    fn materialize_edge(&mut self, b: &StructBroadcast) {
         match b.main {
             TourOp::Link {
                 x, y, fx, elen_b, ..
@@ -1186,7 +1321,6 @@ impl Shard {
         if let Shard::Soa(s) = self {
             s.enforce_soft_cap();
         }
-        outcome
     }
 
     /// The max-weight locally-owned tree edge on the path between the two

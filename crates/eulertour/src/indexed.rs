@@ -25,12 +25,78 @@ use std::collections::{HashMap, HashSet};
 /// Component identifier (fresh ids are allocated when a tree is split).
 pub type CompId = u32;
 
-/// The reroot index map: `i <- ((i + elen - l_y) mod elen) + 1`.
+/// The reroot index map: `i <- ((i + elen - l_y) mod elen) + 1`, evaluated
+/// without a division as [`ShiftMap::reroot`].
 /// Callers must skip the reroot when `y` is already the root, as the paper
 /// does ("we first make y the root ... if it is not already").
 pub fn map_reroot(i: TourIx, elen: TourIx, l_y: TourIx) -> TourIx {
-    debug_assert!(i >= 1 && i <= elen && l_y <= elen);
-    ((i + elen - l_y) % elen) + 1
+    debug_assert!((1..=elen).contains(&i));
+    ShiftMap::reroot(elen, l_y).apply(i)
+}
+
+/// A tour-index map made of at most two translations: an index below `at`
+/// moves by `below`, any other index by `above`. Both are wrapping adds, so
+/// a piece may also move down. Every op's index map has this form, so one
+/// structural op is described to a whole shard by a few such maps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShiftMap {
+    /// First index of the upper piece.
+    pub at: TourIx,
+    /// Wrapping offset of indexes `< at`.
+    pub below: TourIx,
+    /// Wrapping offset of indexes `>= at`.
+    pub above: TourIx,
+}
+
+impl ShiftMap {
+    /// Moves every index by `d` (wrapping: pass `d.wrapping_neg()` to move
+    /// down).
+    pub fn shift(d: TourIx) -> Self {
+        ShiftMap {
+            at: 0,
+            below: 0,
+            above: d,
+        }
+    }
+
+    /// Moves indexes `>= at` by `d` and leaves the rest in place.
+    pub fn shift_from(at: TourIx, d: TourIx) -> Self {
+        ShiftMap {
+            at,
+            below: 0,
+            above: d,
+        }
+    }
+
+    /// The reroot rotation of a tour of length `elen` at the vertex whose
+    /// last appearance is `l_y`: `i >= l_y -> i - l_y + 1`, otherwise
+    /// `i + elen - l_y + 1`. It equals the modular form on `1..=elen` only
+    /// for `l_y >= 1`; every reroot has that, because its new root lies in a
+    /// tree with at least one edge and so has two indexes, both `>= 1`. The
+    /// map rotates a sorted list: the images of indexes `>= l_y` come first.
+    pub fn reroot(elen: TourIx, l_y: TourIx) -> Self {
+        debug_assert!((1..=elen).contains(&l_y), "reroot at l_y = {l_y} of {elen}");
+        ShiftMap {
+            at: l_y,
+            below: elen - l_y + 1,
+            above: 1u64.wrapping_sub(l_y),
+        }
+    }
+
+    /// This map followed by a move of every index by `d`.
+    pub fn then_shift(self, d: TourIx) -> Self {
+        ShiftMap {
+            at: self.at,
+            below: self.below.wrapping_add(d),
+            above: self.above.wrapping_add(d),
+        }
+    }
+
+    /// The image of `i`.
+    #[inline]
+    pub fn apply(self, i: TourIx) -> TourIx {
+        i.wrapping_add(if i < self.at { self.below } else { self.above })
+    }
 }
 
 /// An O(1)-word description of a tour update, broadcast to all machines;
@@ -371,6 +437,7 @@ impl IndexedForest {
         if elen == 0 || self.f(y) == 1 {
             return None;
         }
+        // elen > 0: y has two indexes, so l(y) >= 1 (see ShiftMap::reroot).
         Some(TourOp::Reroot {
             comp: self.comp_of(y),
             elen,
@@ -600,6 +667,32 @@ mod tests {
         fo.verify().unwrap();
         assert!(!fo.connected(0, 2));
         assert!(fo.connected(0, 3));
+    }
+
+    /// The division-free reroot map equals the modular form for every index,
+    /// every `l_y` it admits and every tour length up to 64.
+    #[test]
+    fn reroot_map_matches_modular_form_exhaustively() {
+        for elen in 1..=64 {
+            for l_y in 1..=elen {
+                let map = ShiftMap::reroot(elen, l_y);
+                let mut images = Vec::new();
+                for i in 1..=elen {
+                    let want = ((i + elen - l_y) % elen) + 1;
+                    assert_eq!(
+                        map_reroot(i, elen, l_y),
+                        want,
+                        "i={i} elen={elen} l_y={l_y}"
+                    );
+                    assert_eq!(map.apply(i), want);
+                    images.push(want);
+                }
+                // A rotation: the images of `l_y..=elen` come first, sorted.
+                let split = (l_y - 1) as usize;
+                images.rotate_left(split);
+                assert_eq!(images, (1..=elen).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -5,33 +5,42 @@
 //! This is the tentpole property of the PR-3 executor overhaul — routing,
 //! inbox delivery, outbox collection and metrics aggregation all run on
 //! cluster-owned buffers reused across rounds. The test installs a counting
-//! global allocator, so it lives alone in this integration-test binary
-//! (other tests running concurrently would pollute the counter).
+//! global allocator, so it lives alone in this integration-test binary. The
+//! count is per thread: the tests here run in parallel, each drives a
+//! serial cluster on its own thread, and neither may see the other's
+//! allocations.
 
 use dmpc_mpc::{
     ChaosKind, ChaosPlan, Cluster, ClusterConfig, Envelope, ExecOptions, Machine, MachineId,
     Outbox, RoundCtx, Violation,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Const-initialized and drop-free, so reading them inside the
+    // allocator never allocates.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if the calling thread is counting.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.set(ALLOCS.get() + 1);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -94,19 +103,19 @@ fn steady_state_rounds_allocate_nothing() {
     let _ = cluster.run_batch((0..8u64).map(|i| ((i % 16) as MachineId, 24u64)), 8);
 
     // Measured phase: identical load, zero allocations allowed.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    COUNTING.set(true);
     for i in 0..100u64 {
         cluster.inject((i % 16) as MachineId, 24);
         let m = cluster.run_update();
         assert!(m.clean());
     }
     let b = cluster.run_batch((0..8u64).map(|i| ((i % 16) as MachineId, 24u64)), 8);
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
 
     assert!(b.clean());
     assert_eq!(
-        ALLOCS.load(Ordering::SeqCst),
+        ALLOCS.get(),
         0,
         "steady-state executor rounds must not allocate"
     );
@@ -141,16 +150,16 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
     }
 
     // Phase 1: chaos plane present but idle — still zero allocations.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    COUNTING.set(true);
     for i in 0..100u64 {
         cluster.inject((i % 16) as MachineId, 24);
         let m = cluster.run_update();
         assert!(m.clean());
     }
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     assert_eq!(
-        ALLOCS.load(Ordering::SeqCst),
+        ALLOCS.get(),
         0,
         "an idle chaos plane must not tax steady-state rounds"
     );
@@ -159,8 +168,8 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
     // to it into a DeadMachine violation record; that bookkeeping may
     // allocate, but boundedly — no per-round runaway.
     cluster.kill(3);
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    COUNTING.set(true);
     let mut dead_drops = 0usize;
     for i in 0..50u64 {
         cluster.inject((i % 16) as MachineId, 24);
@@ -171,8 +180,8 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
             .filter(|v| matches!(v, Violation::DeadMachine { machine: 3, .. }))
             .count();
     }
-    COUNTING.store(false, Ordering::SeqCst);
-    let recovery_allocs = ALLOCS.load(Ordering::SeqCst);
+    COUNTING.set(false);
+    let recovery_allocs = ALLOCS.get();
     assert!(dead_drops > 0, "the outage must actually drop traffic");
     assert!(
         recovery_allocs <= 2048,
@@ -186,16 +195,16 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
         cluster.inject((i % 16) as MachineId, 24);
         cluster.run_update();
     }
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    COUNTING.set(true);
     for i in 0..100u64 {
         cluster.inject((i % 16) as MachineId, 24);
         let m = cluster.run_update();
         assert!(m.clean());
     }
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     assert_eq!(
-        ALLOCS.load(Ordering::SeqCst),
+        ALLOCS.get(),
         0,
         "post-recovery rounds must return to zero allocation"
     );

@@ -138,6 +138,7 @@ impl HdtConnectivity {
                 self.nontree[i][y as usize].remove(&x);
                 self.nontree[i + 1][x as usize].insert(y);
                 self.nontree[i + 1][y as usize].insert(x);
+                self.edges.insert(Edge::new(x, y), (i + 1, false));
                 self.set_vertex_mark(i, y);
                 self.set_vertex_mark(i + 1, x);
                 self.set_vertex_mark(i + 1, y);
@@ -192,6 +193,38 @@ mod tests {
                     let y = rng.gen_range(0..n as V);
                     assert_eq!(hdt.connected(x, y), uf.same(x, y), "trial {trial}");
                 }
+            }
+        }
+    }
+
+    /// A non-tree edge pushed up a level must be deleted from that level.
+    /// Dense uniform churn pushes many; checked against a union-find
+    /// recompute after every update.
+    #[test]
+    fn pushed_non_tree_edges_are_deleted_at_their_level() {
+        let n = 128;
+        let mut hdt = HdtConnectivity::new(n);
+        let mut live: Vec<Edge> = Vec::new();
+        for (k, u) in streams::churn_stream(n, 2 * n, 2000, 0.5, 7)
+            .iter()
+            .enumerate()
+        {
+            match *u {
+                streams::Update::Insert(e) => {
+                    hdt.insert(e);
+                    live.push(e);
+                }
+                streams::Update::Delete(e) => {
+                    hdt.delete(e);
+                    live.retain(|&x| x != e);
+                }
+            }
+            let mut uf = UnionFind::new(n);
+            for e in &live {
+                uf.union(e.u, e.v);
+            }
+            for v in 1..n as V {
+                assert_eq!(hdt.connected(0, v), uf.same(0, v), "update {k}, vertex {v}");
             }
         }
     }
