@@ -1,17 +1,17 @@
-//! Million-vertex scaling trajectory + the SoA-vs-map layout comparison
-//! (PR 7): writes `BENCH_PR7.json`.
+//! Million-vertex scaling trajectory + the canonical SoA cell: writes
+//! `BENCH_PR7.json`.
 //!
 //! **What it measures.** Two things the compact machine-state refactor is
 //! accountable for:
 //!
-//! 1. **Canonical layout comparison** (n = 256, 1024 churn updates, seed
-//!    42 — the exact BENCH_PR3.json configuration): the arena-backed SoA
-//!    layout against the legacy map layout, same serial executor, same
-//!    stream, reported as an updates/sec speedup with the state digests
-//!    cross-checked bit-for-bit. Like BENCH_PR3.json, the comparison is
-//!    core-count fingerprinted: `canonical` is true only on a host
-//!    matching the capture fingerprint, so recorded speedups always refer
-//!    to the capture host.
+//! 1. **Canonical cell** (n = 256, 1024 churn updates, seed 42 — the exact
+//!    BENCH_PR3.json configuration): the arena-backed SoA storage on the
+//!    serial executor, reported in updates/sec against the shipped pre-PR
+//!    baseline, with the final state digest checked against a golden
+//!    constant. Like BENCH_PR3.json, the speedup is core-count
+//!    fingerprinted: `canonical` is true only on a host matching the
+//!    capture fingerprint, so recorded speedups always refer to the capture
+//!    host.
 //! 2. **Large-n trajectory**: n = 2^10 … 2^20 with `P = Θ(N/S)` machines
 //!    (2048 at n = 2^20), over the clustered churn workload (256-vertex
 //!    component grain — see `trajectory_workload` for why owner-set
@@ -31,7 +31,7 @@ use dmpc_connectivity::DmpcConnectivity;
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::Update;
 use dmpc_matching::DmpcMaximalMatching;
-use dmpc_mpc::{ExecOptions, Layout};
+use dmpc_mpc::ExecOptions;
 
 /// The canonical configuration (matches BENCH_PR3.json).
 const CANON_N: usize = 256;
@@ -57,10 +57,8 @@ fn churn_steps(n: usize) -> usize {
 /// executor, on the fingerprinted 1-core host: `(alg, k,
 /// updates_per_sec, peak_resident_words)`. Captured by running the
 /// `throughput` bin on the pre-refactor working tree (the commit this PR
-/// stacks on), whose machines stored per-vertex `BTreeMap` state — the
-/// layout preserved in-tree as `Layout::Map`, which the shared-sweep
-/// restructuring has since sped up too; the trajectory claim is against
-/// the *shipped* pre-PR numbers below.
+/// stacks on), whose machines stored per-vertex `BTreeMap` state; the
+/// trajectory claim is against the *shipped* pre-PR numbers below.
 const PRE_PR_BASELINE: &[(&str, usize, f64, usize)] = &[
     ("connectivity", 1, 39450.8, 6706),
     ("connectivity", 64, 41513.7, 6670),
@@ -72,6 +70,16 @@ const PRE_PR_BASELINE: &[(&str, usize, f64, usize)] = &[
 /// pre-PR layout by this factor on the capture host.
 const MIN_CONN_SPEEDUP: f64 = 1.5;
 
+/// Final state digest of each canonical cell, `(alg, k, digest)`. Captured
+/// in a run that asserted the per-vertex map storage and the SoA storage
+/// reached the same digest, so a match pins the SoA state bit for bit.
+const GOLDEN_DIGESTS: &[(&str, usize, u64)] = &[
+    ("connectivity", 1, 0x41360df2dafbddaa),
+    ("connectivity", 64, 0x0bb36fc32dd39d97),
+    ("matching", 1, 0x637d38b643be57cf),
+    ("matching", 64, 0xf593ba1d7ff67074),
+];
+
 fn pre_pr_baseline(alg: &str, k: usize) -> Option<(f64, usize)> {
     PRE_PR_BASELINE
         .iter()
@@ -79,23 +87,23 @@ fn pre_pr_baseline(alg: &str, k: usize) -> Option<(f64, usize)> {
         .map(|b| (b.2, b.3))
 }
 
-fn make_canon(alg: &str, params: DmpcParams, layout: Layout) -> Box<dyn CanonAlg> {
+fn golden_digest(alg: &str, k: usize) -> u64 {
+    GOLDEN_DIGESTS
+        .iter()
+        .find(|g| g.0 == alg && g.1 == k)
+        .expect("golden digest for every canonical cell")
+        .2
+}
+
+fn make_canon(alg: &str, params: DmpcParams) -> Box<dyn CanonAlg> {
     match alg {
-        "connectivity" => Box::new(DmpcConnectivity::with_layout(
-            params,
-            ExecOptions::default(),
-            layout,
-        )),
-        "matching" => Box::new(DmpcMaximalMatching::with_state_layout(
-            params,
-            ExecOptions::default(),
-            layout,
-        )),
+        "connectivity" => Box::new(DmpcConnectivity::new(params)),
+        "matching" => Box::new(DmpcMaximalMatching::new(params)),
         other => panic!("unknown algorithm {other}"),
     }
 }
 
-/// The canonical comparison needs both the update plane and the digest.
+/// The canonical cell needs both the update plane and the digest.
 trait CanonAlg: DynamicGraphAlgorithm {
     fn digest(&self) -> u64;
 }
@@ -112,17 +120,11 @@ impl CanonAlg for DmpcMaximalMatching {
 
 /// Fastest of [`CANON_REPS`] timed replays plus the final-state digest
 /// (identical across reps: the stream is fixed).
-fn canon_run(
-    alg: &str,
-    params: DmpcParams,
-    layout: Layout,
-    ups: &[Update],
-    k: usize,
-) -> (TimedRun, u64) {
+fn canon_run(alg: &str, params: DmpcParams, ups: &[Update], k: usize) -> (TimedRun, u64) {
     let mut best: Option<TimedRun> = None;
     let mut digest = 0;
     for _ in 0..CANON_REPS {
-        let mut a = make_canon(alg, params, layout);
+        let mut a = make_canon(alg, params);
         let run = time_stream_batched(a.as_mut(), ups, k);
         digest = a.digest();
         if best.as_ref().is_none_or(|b| run.secs < b.secs) {
@@ -135,8 +137,8 @@ fn canon_run(
 struct CanonConfig {
     alg: &'static str,
     k: usize,
-    map: TimedRun,
     soa: TimedRun,
+    /// The final digest equals [`GOLDEN_DIGESTS`].
     digests_match: bool,
 }
 
@@ -191,34 +193,26 @@ fn main() {
         .unwrap_or(0);
     let canonical = host_cores == BASELINE_HOST_CORES;
 
-    // ----- canonical layout comparison ----------------------------------
+    // ----- canonical cell ------------------------------------------------
     let (params, ups) = canonical_workload(CANON_N, CANON_UPDATES, SEED);
     println!(
-        "Canonical layout comparison: n = {CANON_N}, {} churn updates, serial executor\n",
+        "Canonical cell: n = {CANON_N}, {} churn updates, serial executor\n",
         ups.len()
     );
     println!(
-        "{:<13} | {:>4} | {:>13} | {:>13} | {:>9} | {:>9} | {:>7}",
-        "algorithm", "k", "map updates/s", "soa updates/s", "vs map", "vs prePR", "digests"
+        "{:<13} | {:>4} | {:>13} | {:>9} | {:>7}",
+        "algorithm", "k", "soa updates/s", "vs prePR", "digest"
     );
     let mut canon: Vec<CanonConfig> = Vec::new();
     for alg in ["connectivity", "matching"] {
         for k in [1usize, 64] {
-            let (map, dm) = canon_run(alg, params, Layout::Map, &ups, k);
-            let (soa, ds) = canon_run(alg, params, Layout::Soa, &ups, k);
-            let digests_match = dm == ds;
+            let (soa, ds) = canon_run(alg, params, &ups, k);
+            let digests_match = ds == golden_digest(alg, k);
             assert!(
                 digests_match,
-                "{alg}: layout digests diverged on the canonical stream"
+                "{alg} k={k}: digest {ds:#018x} differs from the golden digest"
             );
-            assert_eq!(
-                map.batch.violations, 0,
-                "{alg}: map layout violated the model"
-            );
-            assert_eq!(
-                soa.batch.violations, 0,
-                "{alg}: SoA layout violated the model"
-            );
+            assert_eq!(soa.batch.violations, 0, "{alg}: violated the model");
             let vs_pre_pr = pre_pr_baseline(alg, k)
                 .map(|(base, _)| soa.updates_per_sec() / base)
                 .filter(|_| canonical);
@@ -230,10 +224,8 @@ fn main() {
                 );
             }
             println!(
-                "{alg:<13} | {k:>4} | {:>13.1} | {:>13.1} | {:>8.2}x | {:>9} | {:>7}",
-                map.updates_per_sec(),
+                "{alg:<13} | {k:>4} | {:>13.1} | {:>9} | {:>7}",
                 soa.updates_per_sec(),
-                soa.updates_per_sec() / map.updates_per_sec(),
                 vs_pre_pr
                     .map(|s| format!("{s:.2}x"))
                     .unwrap_or_else(|| "--".into()),
@@ -242,7 +234,6 @@ fn main() {
             canon.push(CanonConfig {
                 alg,
                 k,
-                map,
                 soa,
                 digests_match,
             });
@@ -252,7 +243,7 @@ fn main() {
         println!(
             "\nnote: host has {host_cores} cores, capture fingerprint is \
              {BASELINE_HOST_CORES}; pre-PR speedups suppressed (they would \
-             reflect hardware, not the layout)."
+             reflect hardware, not the storage)."
         );
     }
 
@@ -305,7 +296,6 @@ fn main() {
     let canon_json: Vec<String> = canon
         .iter()
         .map(|c| {
-            let vs_map = c.soa.updates_per_sec() / c.map.updates_per_sec();
             let (base, vs_pre_pr) = match pre_pr_baseline(c.alg, c.k) {
                 Some((ups, words)) if canonical => (
                     format!(
@@ -320,18 +310,15 @@ fn main() {
             format!(
                 concat!(
                     "    {{\"alg\": \"{}\", \"k\": {},\n",
-                    "     \"map\": {},\n",
                     "     \"soa\": {},\n",
                     "     \"pre_pr\": {},\n",
-                    "     \"speedup_vs_map\": {}, \"speedup_vs_pre_pr\": {}, ",
+                    "     \"speedup_vs_pre_pr\": {}, ",
                     "\"digests_match\": {}}}"
                 ),
                 c.alg,
                 c.k,
-                timed_json(&c.map),
                 timed_json(&c.soa),
                 base,
-                json_f64(vs_map),
                 vs_pre_pr,
                 c.digests_match,
             )

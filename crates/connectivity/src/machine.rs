@@ -43,8 +43,8 @@
 //! Owner sets are O(sqrt N) words but only ever travel point-to-point; the
 //! multicast payloads stay O(1) words, keeping per-update communication at
 //! O(sqrt N) total. The legacy all-machine broadcast survives behind
-//! [`Routing::Broadcast`] for differential testing (like PR 3's backend
-//! trio): both routings run the identical protocol — broadcast merely
+//! [`Routing::Broadcast`] for differential testing (like the executor
+//! backends): both routings run the identical protocol — broadcast merely
 //! over-addresses the multicasts, and the extra recipients no-op — so
 //! machine states are bit-identical while active-machine metrics differ.
 //!
@@ -136,9 +136,7 @@ use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{partition_conflicts, Edge, QueryAnswer, Update, Weight, V};
-use dmpc_mpc::{
-    pack_text, unpack_text, Envelope, Layout, Machine, MachineId, Outbox, RoundCtx, Scheduler,
-};
+use dmpc_mpc::{pack_text, unpack_text, Envelope, Machine, MachineId, Outbox, RoundCtx, Scheduler};
 use std::collections::{BTreeMap, VecDeque};
 
 pub use crate::shard::{EntryKind, VertexState};
@@ -399,7 +397,6 @@ impl ConnMachine {
             block,
             mst_mode,
             Routing::default(),
-            Layout::default(),
             Scheduler::default(),
         )
     }
@@ -418,27 +415,24 @@ impl ConnMachine {
             block,
             mst_mode,
             routing,
-            Layout::default(),
             Scheduler::default(),
         )
     }
 
-    /// Creates the machine with explicit routing, state-layout and batch
-    /// scheduler choices.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates the machine with explicit routing and batch scheduler
+    /// choices.
     pub fn with_opts(
         id: MachineId,
         n_vertices: usize,
         block: usize,
         mst_mode: bool,
         routing: Routing,
-        layout: Layout,
         scheduler: Scheduler,
     ) -> Self {
         let bounds = Self::uniform_bounds(n_vertices, block);
         let lo = bounds[id as usize];
         let hi = bounds[id as usize + 1];
-        let verts = Shard::new_range(layout, lo, hi);
+        let verts = Shard::new_range(lo, hi);
         ConnMachine {
             id,
             bounds,
@@ -540,13 +534,8 @@ impl ConnMachine {
         self.verts.vertices()
     }
 
-    /// The state layout this machine runs with.
-    pub fn layout(&self) -> Layout {
-        self.verts.layout()
-    }
-
     /// Sets the machine's resident budget (the model capacity `S`, in
-    /// words). The SoA shard compacts its arenas whenever a mutation would
+    /// words). The shard compacts its arenas whenever a mutation would
     /// leave it above this while slack remains, so arena holes never turn a
     /// compactly-fitting shard into a memory violation.
     pub fn set_memory_budget(&mut self, words: usize) {
@@ -2440,5 +2429,40 @@ impl Machine for ConnMachine {
             words += s.len();
         }
         words
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::DmpcConnectivity;
+    use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
+    use dmpc_graph::streams::{self, Update};
+    use dmpc_mpc::Machine;
+
+    /// The arena shards' resident memory stays within 25% of the per-vertex
+    /// map model of the same state on a loaded instance: arena entries are
+    /// cheaper (3.5 vs 4 words per adjacency record), and slack between
+    /// compactions is bounded by the `live/8 + 16` threshold plus growth
+    /// headroom.
+    #[test]
+    fn soa_resident_within_slack_of_map() {
+        let n = 256;
+        let mut alg = DmpcConnectivity::new(DmpcParams::new(n, 3 * n));
+        for &u in &streams::churn_stream(n, 2 * n, 512, 0.5, 42) {
+            match u {
+                Update::Insert(e) => alg.insert(e),
+                Update::Delete(e) => alg.delete(e),
+            };
+        }
+        let rs = alg.resident_words();
+        let rm: usize = alg
+            .driver()
+            .machines()
+            .map(|m| m.memory_words() - m.verts.memory_words() + m.verts.map_model_words())
+            .sum();
+        assert!(
+            rs <= rm + rm / 4,
+            "SoA resident {rs} words exceeds map resident {rm} words by more than 25%"
+        );
     }
 }

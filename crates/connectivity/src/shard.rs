@@ -1,31 +1,23 @@
-//! Per-machine vertex-shard storage: one protocol, two layouts.
+//! Per-machine vertex-shard storage.
 //!
 //! [`ConnMachine`](crate::machine::ConnMachine) keeps its owned vertex block
-//! behind the [`Shard`] enum, selected by [`dmpc_mpc::Layout`]:
+//! in one [`Shard`]: flat structure-of-arrays slices keyed by dense local
+//! slot ids (the `pvector` + property-array idiom), with per-vertex
+//! tour-index lists and adjacency entries stored as segments of two shared
+//! arenas. Deletes punch free holes (segment `len < cap`, or whole segments
+//! abandoned on relocation); arenas compact when holes outgrow live data, so
+//! the resident footprint stays linear in the shard. [`VertexState`] is the
+//! materialized per-vertex form, assembled only for audits, bulk loads and
+//! result extraction.
 //!
-//! * [`MapShard`] — the clarity-first original: a `BTreeMap` of per-vertex
-//!   [`VertexState`]s, each with a `BTreeMap` adjacency. Kept for
-//!   layout-differential testing (like PR 3's backend trio and PR 4's
-//!   routing pair).
-//! * [`SoaShard`] — the default compact layout: flat structure-of-arrays
-//!   slices keyed by dense local slot ids (the `pvector` + property-array
-//!   idiom), with per-vertex tour-index lists and adjacency entries stored
-//!   as segments of two shared arenas. Deletes punch free holes (segment
-//!   `len < cap`, or whole segments abandoned on relocation); arenas
-//!   compact when holes outgrow live data, so the resident footprint stays
-//!   linear in the shard.
-//!
-//! Both layouts run the *identical* structural-op mathematics: each
-//! broadcast becomes one op plan ([`LinkPlan`] or [`CutPlan`]) holding its
-//! index maps, and the per-vertex move ([`OpPlan`]) and the per-entry
-//! annotation rewrite ([`rewrite_entry`]) are single shared functions, so
-//! the layouts can only differ in iteration order — and every fold over
-//! entries (replacement candidates, path maxima) uses an explicit
-//! total-order tie-break, making the results order-independent. Snapshot emission sorts
-//! by vertex and far endpoint, so `snapshot_text` (and therefore every
-//! `state_digest`) is bit-identical across layouts; property tests pin this
-//! on mixed update streams, including across kill/revive and split/merge
-//! migrations.
+//! Each structural broadcast becomes one op plan ([`LinkPlan`] or
+//! [`CutPlan`]) holding its index maps; the per-vertex move ([`OpPlan`]) and
+//! the per-entry annotation rewrite ([`rewrite_entry`]) are single
+//! functions, and every fold over entries (replacement candidates, path
+//! maxima) uses an explicit total-order tie-break, so results do not depend
+//! on iteration order. Snapshot emission sorts by vertex and far endpoint,
+//! so `snapshot_text` (and therefore every `state_digest`) is independent
+//! of arena order and slot placement.
 //!
 //! The global-id ↔ slot interner is direct-mapped: a shard owns a
 //! contiguous vertex range, so `slot = v - base` with an absence sentinel.
@@ -36,7 +28,6 @@ use crate::messages::{CutMode, StructBroadcast, VertexInfo};
 use dmpc_eulertour::indexed::{CompId, ShiftMap, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
-use dmpc_mpc::Layout;
 use std::collections::BTreeMap;
 
 #[cfg(test)]
@@ -66,9 +57,8 @@ pub enum EntryKind {
     },
 }
 
-/// Per-owned-vertex state (the materialized, layout-independent view; the
-/// SoA layout only assembles it for audits, bulk loads and result
-/// extraction, never on the update path).
+/// Per-owned-vertex state, materialized: the shard only assembles it for
+/// audits, bulk loads and result extraction, never on the update path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexState {
     /// Component id (= current root vertex of its tree).
@@ -79,35 +69,6 @@ pub struct VertexState {
     pub idx: Vec<TourIx>,
     /// neighbor -> (kind, weight).
     pub adj: BTreeMap<V, (EntryKind, Weight)>,
-}
-
-impl VertexState {
-    pub(crate) fn singleton(v: V) -> Self {
-        VertexState {
-            comp: v,
-            size: 1,
-            idx: Vec::new(),
-            adj: BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn f(&self) -> TourIx {
-        self.idx.first().copied().unwrap_or(0)
-    }
-
-    pub(crate) fn l(&self) -> TourIx {
-        self.idx.last().copied().unwrap_or(0)
-    }
-
-    pub(crate) fn info(&self, v: V) -> VertexInfo {
-        VertexInfo {
-            v,
-            comp: self.comp,
-            size: self.size,
-            f: self.f(),
-            l: self.l(),
-        }
-    }
 }
 
 /// What a structural-op sweep learned while applying to the local shard.
@@ -124,7 +85,7 @@ pub(crate) struct ApplyOutcome {
 // ----- shared structural-op mathematics ---------------------------------
 //
 // The sweep's index arithmetic lives exactly once, in the two op plans
-// below: a broadcast becomes its index maps once, and each layout supplies
+// below: a broadcast becomes its index maps once, and the shard supplies
 // only the iteration around them. Every map is a `ShiftMap` (at most two
 // translated pieces). Link and cut maps are monotone, so a vertex's sorted
 // index list stays sorted when mapped in place; only a reroot rotates it.
@@ -517,69 +478,7 @@ impl ApplyOutcome {
     }
 }
 
-// ----- the map layout ---------------------------------------------------
-
-/// The clarity-first layout: `BTreeMap` of [`VertexState`]s.
-#[derive(Debug, Default)]
-pub(crate) struct MapShard {
-    verts: BTreeMap<V, VertexState>,
-}
-
-impl MapShard {
-    fn new_range(lo: V, hi: V) -> Self {
-        MapShard {
-            verts: (lo..hi).map(|v| (v, VertexState::singleton(v))).collect(),
-        }
-    }
-
-    fn st(&self, v: V) -> &VertexState {
-        self.verts
-            .get(&v)
-            .expect("vertex not owned by this machine")
-    }
-
-    fn st_mut(&mut self, v: V) -> &mut VertexState {
-        self.verts
-            .get_mut(&v)
-            .expect("vertex not owned by this machine")
-    }
-
-    fn sweep<P: OpPlan>(&mut self, p: &P) -> ApplyOutcome {
-        let mut best: Option<(Weight, Edge)> = None;
-        let mut outcome = ApplyOutcome::default();
-        for (&v, st) in self.verts.iter_mut() {
-            let mv = p.touches(st.comp).then(|| {
-                let mv = if p.is_endpoint(v) {
-                    p.endpoint_move(v, st.comp, st.size, &mut st.idx)
-                } else {
-                    p.move_in_place(v, st.comp, st.size, &mut st.idx)
-                };
-                st.comp = mv.comp;
-                st.size = mv.size;
-                mv
-            });
-            outcome.note_side(p.split(), st.comp);
-            for (&far, (kind, w)) in st.adj.iter_mut() {
-                let crossing = match kind {
-                    EntryKind::Tree { lo, hi } => rewrite_entry(p, mv.as_ref(), far, true, lo, hi),
-                    EntryKind::NonTree { cached, far_comp } => {
-                        let mut fc = *far_comp as u64;
-                        let crossing = rewrite_entry(p, mv.as_ref(), far, false, cached, &mut fc);
-                        *far_comp = fc as CompId;
-                        crossing
-                    }
-                };
-                if crossing {
-                    offer(&mut best, *w, v, far);
-                }
-            }
-        }
-        outcome.best = best.map(|(w, e)| (e, w));
-        outcome
-    }
-}
-
-// ----- the SoA layout ---------------------------------------------------
+// ----- the shard --------------------------------------------------------
 
 /// One segment of an arena: a vertex's entries live in
 /// `arena[start..start+len]`, with `cap - len` free words of headroom
@@ -602,11 +501,11 @@ const ADJ_HEADROOM: u32 = 2;
 /// index list by up to 2).
 const TOUR_HEADROOM: u32 = 4;
 
-/// The compact layout: property arrays indexed by `slot = v - base`, plus
-/// two arenas (tour indexes, adjacency entries) addressed by per-slot
-/// segments.
+/// A machine's owned vertex shard: property arrays indexed by
+/// `slot = v - base`, plus two arenas (tour indexes, adjacency entries)
+/// addressed by per-slot segments.
 #[derive(Debug, Default)]
-pub(crate) struct SoaShard {
+pub(crate) struct Shard {
     /// Direct-mapped interner base: global vertex `v` lives in slot
     /// `v - base`.
     base: V,
@@ -662,10 +561,11 @@ fn encode_kind(kind: &EntryKind) -> (bool, u64, u64) {
     }
 }
 
-impl SoaShard {
-    fn new_range(lo: V, hi: V) -> Self {
+impl Shard {
+    /// A fresh shard of singleton vertices `lo..hi`.
+    pub fn new_range(lo: V, hi: V) -> Self {
         let n = (hi - lo) as usize;
-        SoaShard {
+        Shard {
             base: lo,
             comp: (lo..hi).collect(),
             size: vec![1; n],
@@ -891,22 +791,6 @@ impl SoaShard {
         self.compact_adj();
     }
 
-    /// Exact resident footprint in words (8 bytes), counting the backing
-    /// stores as allocated — slot property arrays, both arenas including
-    /// holes and segment headroom, rounded up to whole words.
-    fn words(&self) -> usize {
-        let slot_bytes = self.comp.len() * 4    // comp: u32
-            + self.size.len() * 4               // size: u32
-            + self.tpos.len() * 12              // Seg: 3 x u32
-            + self.apos.len() * 12;
-        let tour_bytes = self.tour.len() * 8;
-        let adj_bytes = self.afar.len() * 4     // far|tag: u32
-            + self.aw.len() * 8                 // weight: u64
-            + self.aa.len() * 8
-            + self.ab.len() * 8;
-        (slot_bytes + tour_bytes + adj_bytes).div_ceil(8)
-    }
-
     /// Compacts both arenas if the shard sits above its soft budget while
     /// holding any slack. Steady-state mutations never pay this; it only
     /// fires when a shard is near the machine capacity `S`, where the
@@ -918,7 +802,7 @@ impl SoaShard {
         if self.tour.len() == self.tour_live && self.afar.len() == self.adj_live {
             return;
         }
-        if self.words() <= self.soft_cap {
+        if self.memory_words() <= self.soft_cap {
             return;
         }
         self.compact_tour();
@@ -1042,187 +926,107 @@ impl SoaShard {
         self.size[slot] = mv.size as u32;
         mv
     }
-}
 
-// ----- the layout-dispatched shard --------------------------------------
-
-/// A machine's owned vertex shard, in one of the two storage layouts.
-// One Shard per machine, heap-allocated in the machine struct; the size
-// gap between the arena-backed variant and the map variant is the point
-// of the refactor, not accidental bloat worth boxing away.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub(crate) enum Shard {
-    /// Per-vertex map containers (legacy, differential testing).
-    Map(MapShard),
-    /// Arena-backed structure-of-arrays (default).
-    Soa(SoaShard),
-}
-
-impl Shard {
-    /// A fresh shard of singleton vertices `lo..hi`.
-    pub fn new_range(layout: Layout, lo: V, hi: V) -> Self {
-        match layout {
-            Layout::Map => Shard::Map(MapShard::new_range(lo, hi)),
-            Layout::Soa => Shard::Soa(SoaShard::new_range(lo, hi)),
-        }
-    }
-
-    /// This shard's storage layout.
-    pub fn layout(&self) -> Layout {
-        match self {
-            Shard::Map(_) => Layout::Map,
-            Shard::Soa(_) => Layout::Soa,
-        }
-    }
-
-    /// Drops all vertex state (the layout is retained).
+    /// Drops all vertex state (the soft budget is retained).
     pub fn clear(&mut self) {
-        match self {
-            Shard::Map(m) => m.verts.clear(),
-            Shard::Soa(s) => {
-                *s = SoaShard {
-                    soft_cap: s.soft_cap,
-                    ..SoaShard::default()
-                }
-            }
+        *self = Shard {
+            soft_cap: self.soft_cap,
+            ..Shard::default()
         }
     }
 
-    /// Sets the soft resident budget in words. SoA mutations that leave
-    /// the shard above it force a full arena compaction; the map layout
-    /// carries no slack and ignores it.
+    /// Sets the soft resident budget in words. Mutations that leave the
+    /// shard above it force a full arena compaction.
     pub fn set_soft_cap(&mut self, words: usize) {
-        if let Shard::Soa(s) = self {
-            s.soft_cap = words;
-        }
+        self.soft_cap = words;
     }
 
     pub fn contains(&self, v: V) -> bool {
-        match self {
-            Shard::Map(m) => m.verts.contains_key(&v),
-            Shard::Soa(s) => s.slot_of(v).is_some(),
-        }
+        self.slot_of(v).is_some()
     }
 
     pub fn comp_of(&self, v: V) -> CompId {
-        match self {
-            Shard::Map(m) => m.st(v).comp,
-            Shard::Soa(s) => s.comp[s.slot(v)],
-        }
+        self.comp[self.slot(v)]
     }
 
     pub fn size_of(&self, v: V) -> u64 {
-        match self {
-            Shard::Map(m) => m.st(v).size,
-            Shard::Soa(s) => s.size[s.slot(v)] as u64,
-        }
+        self.size[self.slot(v)] as u64
     }
 
     pub fn f_of(&self, v: V) -> TourIx {
-        match self {
-            Shard::Map(m) => m.st(v).f(),
-            Shard::Soa(s) => s.tour_slice(s.slot(v)).first().copied().unwrap_or(0),
-        }
+        self.idx_of(v).first().copied().unwrap_or(0)
     }
 
     #[cfg(test)]
     pub fn l_of(&self, v: V) -> TourIx {
-        match self {
-            Shard::Map(m) => m.st(v).l(),
-            Shard::Soa(s) => s.tour_slice(s.slot(v)).last().copied().unwrap_or(0),
-        }
+        self.idx_of(v).last().copied().unwrap_or(0)
     }
 
     /// The vertex's tour-index list (the cut flow derives the surviving
     /// parent index from it).
     pub fn idx_of(&self, v: V) -> &[TourIx] {
-        match self {
-            Shard::Map(m) => &m.st(v).idx,
-            Shard::Soa(s) => s.tour_slice(s.slot(v)),
-        }
+        self.tour_slice(self.slot(v))
     }
 
     /// O(1)-word wire summary of one vertex.
     pub fn info(&self, v: V) -> VertexInfo {
-        match self {
-            Shard::Map(m) => m.st(v).info(v),
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                let t = s.tour_slice(slot);
-                VertexInfo {
-                    v,
-                    comp: s.comp[slot],
-                    size: s.size[slot] as u64,
-                    f: t.first().copied().unwrap_or(0),
-                    l: t.last().copied().unwrap_or(0),
-                }
-            }
+        let slot = self.slot(v);
+        let t = self.tour_slice(slot);
+        VertexInfo {
+            v,
+            comp: self.comp[slot],
+            size: self.size[slot] as u64,
+            f: t.first().copied().unwrap_or(0),
+            l: t.last().copied().unwrap_or(0),
         }
     }
 
     /// One adjacency entry, if present (panics when `v` is not owned).
     pub fn adj_get(&self, v: V, far: V) -> Option<(EntryKind, Weight)> {
-        match self {
-            Shard::Map(m) => m.st(v).adj.get(&far).copied(),
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                s.adj_find(slot, far)
-                    .map(|i| (decode_kind(s.afar[i], s.aa[i], s.ab[i]), s.aw[i]))
-            }
-        }
+        self.adj_find(self.slot(v), far).map(|i| {
+            (
+                decode_kind(self.afar[i], self.aa[i], self.ab[i]),
+                self.aw[i],
+            )
+        })
     }
 
     /// Inserts or overwrites one adjacency entry.
     pub fn adj_set(&mut self, v: V, far: V, kind: EntryKind, w: Weight) {
-        match self {
-            Shard::Map(m) => {
-                m.st_mut(v).adj.insert(far, (kind, w));
+        let slot = self.slot(v);
+        match self.adj_find(slot, far) {
+            Some(i) => {
+                let (tree, a, b) = encode_kind(&kind);
+                self.afar[i] = far | if tree { TREE_BIT } else { 0 };
+                self.aw[i] = w;
+                self.aa[i] = a;
+                self.ab[i] = b;
             }
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                match s.adj_find(slot, far) {
-                    Some(i) => {
-                        let (tree, a, b) = encode_kind(&kind);
-                        s.afar[i] = far | if tree { TREE_BIT } else { 0 };
-                        s.aw[i] = w;
-                        s.aa[i] = a;
-                        s.ab[i] = b;
-                    }
-                    None => s.adj_push(slot, far, &kind, w, ADJ_HEADROOM),
-                }
-                s.enforce_soft_cap();
-            }
+            None => self.adj_push(slot, far, &kind, w, ADJ_HEADROOM),
         }
+        self.enforce_soft_cap();
     }
 
     /// Removes one adjacency entry (no-op when absent).
     pub fn adj_remove(&mut self, v: V, far: V) {
-        match self {
-            Shard::Map(m) => {
-                m.st_mut(v).adj.remove(&far);
-            }
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                if let Some(i) = s.adj_find(slot, far) {
-                    let sg = s.apos[slot];
-                    let last = (sg.start + sg.len - 1) as usize;
-                    s.afar[i] = s.afar[last];
-                    s.aw[i] = s.aw[last];
-                    s.aa[i] = s.aa[last];
-                    s.ab[i] = s.ab[last];
-                    s.apos[slot].len -= 1;
-                    s.adj_live -= 1;
-                    s.maybe_compact_adj();
-                }
-                s.enforce_soft_cap();
-            }
+        let slot = self.slot(v);
+        if let Some(i) = self.adj_find(slot, far) {
+            let sg = self.apos[slot];
+            let last = (sg.start + sg.len - 1) as usize;
+            self.afar[i] = self.afar[last];
+            self.aw[i] = self.aw[last];
+            self.aa[i] = self.aa[last];
+            self.ab[i] = self.ab[last];
+            self.apos[slot].len -= 1;
+            self.adj_live -= 1;
+            self.maybe_compact_adj();
         }
+        self.enforce_soft_cap();
     }
 
     /// Applies a structural op to all owned state; returns the local
     /// replacement candidate and split-side membership (cuts). The sweep
-    /// runs the op's plan over the layout; the cut/link entry
+    /// runs the op's plan over the shard; the cut/link entry
     /// materialization after it is the shared protocol step.
     pub fn apply_struct(&mut self, b: &StructBroadcast) -> ApplyOutcome {
         let outcome = match b.main {
@@ -1232,13 +1036,6 @@ impl Shard {
         };
         self.materialize_edge(b);
         outcome
-    }
-
-    fn sweep<P: OpPlan>(&mut self, p: &P) -> ApplyOutcome {
-        match self {
-            Shard::Map(m) => m.sweep(p),
-            Shard::Soa(s) => s.sweep(p),
-        }
     }
 
     /// Materializes the linked or cut edge's entries at owned endpoints.
@@ -1318,9 +1115,7 @@ impl Shard {
             },
             TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
         }
-        if let Shard::Soa(s) = self {
-            s.enforce_soft_cap();
-        }
+        self.enforce_soft_cap();
     }
 
     /// The max-weight locally-owned tree edge on the path between the two
@@ -1335,49 +1130,30 @@ impl Shard {
         ly: TourIx,
     ) -> Option<(Edge, Weight)> {
         let mut best: Option<(Weight, Edge)> = None;
-        let mut fold = |v: V, far: V, lo: TourIx, hi: TourIx, w: Weight| {
-            // Process each tree edge once: at its child endpoint.
-            if !lo.is_multiple_of(2) {
-                return;
+        for slot in 0..self.comp.len() {
+            if self.comp[slot] != comp {
+                continue;
             }
-            // Child's subtree span is [lo, hi]; the edge is on the
-            // x..y path iff the span contains exactly one endpoint.
-            let contains_x = lo <= fx && lx <= hi;
-            let contains_y = lo <= fy && ly <= hi;
-            if contains_x ^ contains_y {
-                let better = match best {
-                    None => true,
-                    Some((bw, be)) => w > bw || (w == bw && Edge::new(v, far) < be),
-                };
-                if better {
-                    best = Some((w, Edge::new(v, far)));
+            let v = self.base + slot as V;
+            let sg = self.apos[slot];
+            for i in sg.start as usize..(sg.start + sg.len) as usize {
+                let (lo, hi) = (self.aa[i], self.ab[i]);
+                // Process each tree edge once: at its child endpoint.
+                if self.afar[i] & TREE_BIT == 0 || !lo.is_multiple_of(2) {
+                    continue;
                 }
-            }
-        };
-        match self {
-            Shard::Map(m) => {
-                for (&v, st) in &m.verts {
-                    if st.comp != comp {
-                        continue;
-                    }
-                    for (&far, &(kind, w)) in &st.adj {
-                        if let EntryKind::Tree { lo, hi } = kind {
-                            fold(v, far, lo, hi, w);
-                        }
-                    }
-                }
-            }
-            Shard::Soa(s) => {
-                for slot in 0..s.comp.len() {
-                    if s.comp[slot] != comp {
-                        continue;
-                    }
-                    let v = s.base + slot as V;
-                    let sg = s.apos[slot];
-                    for i in sg.start as usize..(sg.start + sg.len) as usize {
-                        if s.afar[i] & TREE_BIT != 0 {
-                            fold(v, s.afar[i] & !TREE_BIT, s.aa[i], s.ab[i], s.aw[i]);
-                        }
+                // Child's subtree span is [lo, hi]; the edge is on the
+                // x..y path iff the span contains exactly one endpoint.
+                let contains_x = lo <= fx && lx <= hi;
+                let contains_y = lo <= fy && ly <= hi;
+                if contains_x ^ contains_y {
+                    let (w, e) = (self.aw[i], Edge::new(v, self.afar[i] & !TREE_BIT));
+                    let better = match best {
+                        None => true,
+                        Some((bw, be)) => w > bw || (w == bw && e < be),
+                    };
+                    if better {
+                        best = Some((w, e));
                     }
                 }
             }
@@ -1388,79 +1164,70 @@ impl Shard {
     /// True iff any owned vertex belongs to `comp` (migration directory
     /// repair).
     pub fn any_in_comp(&self, comp: CompId) -> bool {
-        match self {
-            Shard::Map(m) => m.verts.values().any(|st| st.comp == comp),
-            Shard::Soa(s) => s.comp.contains(&comp),
-        }
+        self.comp.contains(&comp)
     }
 
     /// Number of owned vertices.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        match self {
-            Shard::Map(m) => m.verts.len(),
-            Shard::Soa(s) => s.comp.iter().filter(|&&c| c != COMP_NONE).count(),
-        }
+        self.comp.iter().filter(|&&c| c != COMP_NONE).count()
     }
 
     /// Materialized state of one vertex (audits/result extraction — not the
     /// update path).
     pub fn vertex(&self, v: V) -> Option<VertexState> {
-        match self {
-            Shard::Map(m) => m.verts.get(&v).cloned(),
-            Shard::Soa(s) => s.slot_of(v).map(|slot| s.materialize(slot)),
-        }
+        self.slot_of(v).map(|slot| self.materialize(slot))
     }
 
     /// All owned vertices, materialized in id order.
     pub fn vertices(&self) -> Vec<(V, VertexState)> {
-        match self {
-            Shard::Map(m) => m.verts.iter().map(|(&v, st)| (v, st.clone())).collect(),
-            Shard::Soa(s) => (0..s.comp.len())
-                .filter(|&slot| s.comp[slot] != COMP_NONE)
-                .map(|slot| (s.base + slot as V, s.materialize(slot)))
-                .collect(),
-        }
+        (0..self.comp.len())
+            .filter(|&slot| self.comp[slot] != COMP_NONE)
+            .map(|slot| (self.base + slot as V, self.materialize(slot)))
+            .collect()
     }
 
     /// Direct state injection (bulk loading / snapshot restore).
     pub fn load_vertex(&mut self, v: V, st: VertexState) {
-        match self {
-            Shard::Map(m) => {
-                m.verts.insert(v, st);
-            }
-            Shard::Soa(s) => {
-                let slot = s.ensure_slot(v);
-                if s.comp[slot] != COMP_NONE {
-                    // Replacing: free the old segments' live words first.
-                    s.tour_live -= s.tpos[slot].len as usize;
-                    s.adj_live -= s.apos[slot].len as usize;
-                    s.tpos[slot].len = 0;
-                    s.apos[slot].len = 0;
-                }
-                s.comp[slot] = st.comp;
-                s.size[slot] = st.size as u32;
-                s.tour_store(slot, &st.idx, 0);
-                s.adj_store(slot, &st.adj);
-                s.enforce_soft_cap();
+        let slot = self.ensure_slot(v);
+        if self.comp[slot] != COMP_NONE {
+            // Replacing: free the old segments' live words first.
+            self.tour_live -= self.tpos[slot].len as usize;
+            self.adj_live -= self.apos[slot].len as usize;
+            self.tpos[slot].len = 0;
+            self.apos[slot].len = 0;
+        }
+        self.comp[slot] = st.comp;
+        self.size[slot] = st.size as u32;
+        self.tour_store(slot, &st.idx, 0);
+        self.adj_store(slot, &st.adj);
+        self.enforce_soft_cap();
+    }
+
+    /// Serializes every owned vertex as `vert`/`adj` snapshot lines, sorted
+    /// by vertex then far endpoint.
+    pub fn write_all(&self, s: &mut String) {
+        for slot in 0..self.comp.len() {
+            if self.comp[slot] != COMP_NONE {
+                self.write_slot(s, slot);
             }
         }
     }
 
-    /// Serializes every owned vertex as `vert`/`adj` snapshot lines, sorted
-    /// by vertex then far endpoint — bit-identical across layouts.
-    pub fn write_all(&self, s: &mut String) {
-        match self {
-            Shard::Map(m) => {
-                for (&v, st) in &m.verts {
-                    write_vert(s, v, st);
-                }
-            }
-            Shard::Soa(sh) => {
-                for slot in 0..sh.comp.len() {
-                    if sh.comp[slot] != COMP_NONE {
-                        sh.write_slot(s, slot);
-                    }
+    /// Emits one slot's `vert`/`adj` lines (sorted by far endpoint).
+    fn write_slot(&self, s: &mut String, slot: usize) {
+        use std::fmt::Write as _;
+        let v = self.base + slot as V;
+        write!(s, "vert {v} {} {}", self.comp[slot], self.size[slot]).unwrap();
+        for i in self.tour_slice(slot) {
+            write!(s, " {i}").unwrap();
+        }
+        s.push('\n');
+        for (u, kind, w) in self.sorted_entries(slot) {
+            match kind {
+                EntryKind::Tree { lo, hi } => writeln!(s, "adj {v} {u} t {lo} {hi} {w}").unwrap(),
+                EntryKind::NonTree { cached, far_comp } => {
+                    writeln!(s, "adj {v} {u} n {cached} {far_comp} {w}").unwrap()
                 }
             }
         }
@@ -1470,29 +1237,18 @@ impl Shard {
     /// shard (shard migration).
     pub fn extract_range(&mut self, lo: V, hi: V) -> String {
         let mut text = String::new();
-        match self {
-            Shard::Map(m) => {
-                let keys: Vec<V> = m.verts.range(lo..hi).map(|(&v, _)| v).collect();
-                for v in keys {
-                    let st = m.verts.remove(&v).expect("listed vertex");
-                    write_vert(&mut text, v, &st);
-                }
-            }
-            Shard::Soa(s) => {
-                for v in lo..hi {
-                    if let Some(slot) = s.slot_of(v) {
-                        s.write_slot(&mut text, slot);
-                        s.remove_slot(slot);
-                    }
-                }
-                // Migrations are rare and already pay O(shard) for the
-                // extraction, so compact exactly: the remaining shard must
-                // not keep charging for the moved segments' holes.
-                s.trim_slots();
-                s.compact_tour();
-                s.compact_adj();
+        for v in lo..hi {
+            if let Some(slot) = self.slot_of(v) {
+                self.write_slot(&mut text, slot);
+                self.remove_slot(slot);
             }
         }
+        // Migrations are rare and already pay O(shard) for the extraction,
+        // so compact exactly: the remaining shard must not keep charging
+        // for the moved segments' holes.
+        self.trim_slots();
+        self.compact_tour();
+        self.compact_adj();
         text
     }
 
@@ -1538,64 +1294,33 @@ impl Shard {
         }
     }
 
-    /// Resident footprint in 64-bit words.
-    ///
-    /// * Map layout: the PR 1 container approximation (4 words of core per
-    ///   vertex + index list + 4 words per adjacency entry), unchanged so
-    ///   the legacy layout meters exactly as before.
-    /// * SoA layout: the exact backing stores — every property array, both
-    ///   arenas *including their free holes and segment headroom* (that
-    ///   memory is resident), and the segment tables, converted from bytes
-    ///   at 8 bytes/word. Transient scratch buffers are excluded (they are
-    ///   executor-style reusable workspace, not shard state).
+    /// Exact resident footprint in 64-bit words: every property array, both
+    /// arenas *including their free holes and segment headroom* (that
+    /// memory is resident), and the segment tables, converted from bytes at
+    /// 8 bytes/word. Transient scratch buffers are excluded (they are
+    /// executor-style reusable workspace, not shard state).
     pub fn memory_words(&self) -> usize {
-        match self {
-            Shard::Map(m) => m
-                .verts
-                .values()
-                .map(|st| 4 + st.idx.len() + 4 * st.adj.len())
-                .sum(),
-            Shard::Soa(s) => s.words(),
-        }
+        let slot_bytes = self.comp.len() * 4    // comp: u32
+            + self.size.len() * 4               // size: u32
+            + self.tpos.len() * 12              // Seg: 3 x u32
+            + self.apos.len() * 12;
+        let tour_bytes = self.tour.len() * 8;
+        let adj_bytes = self.afar.len() * 4     // far|tag: u32
+            + self.aw.len() * 8                 // weight: u64
+            + self.aa.len() * 8
+            + self.ab.len() * 8;
+        (slot_bytes + tour_bytes + adj_bytes).div_ceil(8)
     }
-}
 
-/// Serializes one vertex's full state as `vert`/`adj` snapshot lines.
-pub(crate) fn write_vert(s: &mut String, v: V, st: &VertexState) {
-    use std::fmt::Write as _;
-    write!(s, "vert {v} {} {}", st.comp, st.size).unwrap();
-    for i in &st.idx {
-        write!(s, " {i}").unwrap();
-    }
-    s.push('\n');
-    for (&u, (kind, w)) in &st.adj {
-        write_adj_line(s, v, u, kind, *w);
-    }
-}
-
-fn write_adj_line(s: &mut String, v: V, u: V, kind: &EntryKind, w: Weight) {
-    use std::fmt::Write as _;
-    match kind {
-        EntryKind::Tree { lo, hi } => writeln!(s, "adj {v} {u} t {lo} {hi} {w}").unwrap(),
-        EntryKind::NonTree { cached, far_comp } => {
-            writeln!(s, "adj {v} {u} n {cached} {far_comp} {w}").unwrap()
-        }
-    }
-}
-
-impl SoaShard {
-    /// Emits one slot's `vert`/`adj` lines (sorted by far endpoint).
-    fn write_slot(&self, s: &mut String, slot: usize) {
-        use std::fmt::Write as _;
-        let v = self.base + slot as V;
-        write!(s, "vert {v} {} {}", self.comp[slot], self.size[slot]).unwrap();
-        for i in self.tour_slice(slot) {
-            write!(s, " {i}").unwrap();
-        }
-        s.push('\n');
-        for (far, kind, w) in self.sorted_entries(slot) {
-            write_adj_line(s, v, far, &kind, w);
-        }
+    /// The per-vertex map model of the same state (4 words of core per
+    /// vertex + index list + 4 words per adjacency entry): the baseline the
+    /// resident-slack test holds the arena footprint against.
+    #[cfg(test)]
+    pub fn map_model_words(&self) -> usize {
+        self.vertices()
+            .iter()
+            .map(|(_, st)| 4 + st.idx.len() + 4 * st.adj.len())
+            .sum()
     }
 }
 
@@ -1625,10 +1350,9 @@ mod tests {
         EntryKind::NonTree { cached, far_comp }
     }
 
-    /// Loads the same 3-vertex path (0-1-2, plus a non-tree 0-2) into both
-    /// layouts and checks every accessor and the snapshot text agree.
-    fn loaded_pair() -> (Shard, Shard) {
-        let states = [
+    /// A 3-vertex path (0-1-2, plus a non-tree 0-2).
+    fn demo_states() -> [(V, VertexState); 3] {
+        [
             (
                 0,
                 demo_state(0, 3, &[1, 8], &[(1, tree(1, 8), 5), (2, non_tree(3, 0), 9)]),
@@ -1646,86 +1370,107 @@ mod tests {
                 2,
                 demo_state(0, 3, &[4, 5], &[(1, tree(4, 5), 4), (0, non_tree(1, 0), 9)]),
             ),
-        ];
-        let mut map = Shard::new_range(Layout::Map, 0, 3);
-        let mut soa = Shard::new_range(Layout::Soa, 0, 3);
-        for (v, st) in &states {
-            map.load_vertex(*v, st.clone());
-            soa.load_vertex(*v, st.clone());
-        }
-        (map, soa)
+        ]
     }
+
+    fn loaded() -> Shard {
+        let mut sh = Shard::new_range(0, 3);
+        for (v, st) in demo_states() {
+            sh.load_vertex(v, st);
+        }
+        sh
+    }
+
+    /// `demo_states` as snapshot text, as the per-vertex map storage wrote
+    /// it (sorted by vertex, then far endpoint).
+    const LOADED_TEXT: &str = "\
+vert 0 0 3 1 8
+adj 0 1 t 1 8 5
+adj 0 2 n 3 0 9
+vert 1 0 3 2 3 6 7
+adj 1 0 t 2 7 5
+adj 1 2 t 3 6 4
+vert 2 0 3 4 5
+adj 2 0 n 1 0 9
+adj 2 1 t 4 5 4
+";
 
     #[test]
     fn layouts_agree_on_accessors_and_snapshots() {
-        let (map, soa) = loaded_pair();
-        for v in 0..3 {
-            assert_eq!(map.comp_of(v), soa.comp_of(v));
-            assert_eq!(map.size_of(v), soa.size_of(v));
-            assert_eq!(map.f_of(v), soa.f_of(v));
-            assert_eq!(map.l_of(v), soa.l_of(v));
-            assert_eq!(map.idx_of(v), soa.idx_of(v));
-            assert_eq!(map.info(v), soa.info(v));
-            assert_eq!(map.vertex(v), soa.vertex(v));
+        let sh = loaded();
+        for (v, st) in demo_states() {
+            assert_eq!(sh.comp_of(v), st.comp);
+            assert_eq!(sh.size_of(v), st.size);
+            assert_eq!(sh.f_of(v), st.idx[0]);
+            assert_eq!(sh.l_of(v), *st.idx.last().unwrap());
+            assert_eq!(sh.idx_of(v), st.idx);
+            assert_eq!(sh.info(v).f, st.idx[0]);
             for far in 0..3 {
-                assert_eq!(map.adj_get(v, far), soa.adj_get(v, far), "adj {v} {far}");
+                assert_eq!(
+                    sh.adj_get(v, far),
+                    st.adj.get(&far).copied(),
+                    "adj {v} {far}"
+                );
             }
+            assert_eq!(sh.vertex(v), Some(st));
         }
-        let (mut ms, mut ss) = (String::new(), String::new());
-        map.write_all(&mut ms);
-        soa.write_all(&mut ss);
-        assert_eq!(ms, ss, "snapshot text must be layout-independent");
-        assert_eq!(
-            map.path_max(0, 1, 8, 4, 5),
-            soa.path_max(0, 1, 8, 4, 5),
-            "path-max fold must be layout-independent"
-        );
+        let mut text = String::new();
+        sh.write_all(&mut text);
+        assert_eq!(text, LOADED_TEXT);
+        assert_eq!(sh.path_max(0, 1, 8, 4, 5), Some((Edge::new(0, 1), 5)));
     }
 
     #[test]
     fn soa_mutation_round_trips_through_snapshot() {
-        let (mut map, mut soa) = loaded_pair();
-        for sh in [&mut map, &mut soa] {
-            sh.adj_set(0, 1, tree(1, 10), 7); // overwrite
-            sh.adj_remove(2, 0);
-            sh.adj_set(1, 2, non_tree(4, 0), 6); // kind change
-        }
-        let (mut ms, mut ss) = (String::new(), String::new());
-        map.write_all(&mut ms);
-        soa.write_all(&mut ss);
-        assert_eq!(ms, ss);
-        // Restore both texts into fresh shards of the opposite layout.
-        let mut back = Shard::new_range(Layout::Soa, 0, 0);
-        for line in ms.lines() {
+        let mut sh = loaded();
+        sh.adj_set(0, 1, tree(1, 10), 7); // overwrite
+        sh.adj_remove(2, 0);
+        sh.adj_set(1, 2, non_tree(4, 0), 6); // kind change
+        let mut text = String::new();
+        sh.write_all(&mut text);
+        assert_eq!(
+            text,
+            "\
+vert 0 0 3 1 8
+adj 0 1 t 1 10 7
+adj 0 2 n 3 0 9
+vert 1 0 3 2 3 6 7
+adj 1 0 t 2 7 5
+adj 1 2 n 4 0 6
+vert 2 0 3 4 5
+adj 2 1 t 4 5 4
+"
+        );
+        // Restore the text into a fresh, empty shard.
+        let mut back = Shard::new_range(0, 0);
+        for line in text.lines() {
             back.parse_line(line);
         }
         let mut round = String::new();
         back.write_all(&mut round);
-        assert_eq!(round, ms);
+        assert_eq!(round, text);
     }
 
     #[test]
     fn soa_extract_range_matches_map_and_trims() {
-        let (mut map, mut soa) = loaded_pair();
-        let tm = map.extract_range(0, 2);
-        let ts = soa.extract_range(0, 2);
-        assert_eq!(tm, ts, "extracted migration payload must match");
-        assert_eq!(map.len(), 1);
-        assert_eq!(soa.len(), 1);
-        assert!(!soa.contains(0) && !soa.contains(1) && soa.contains(2));
-        // The trimmed SoA shard must not keep charging for the moved slots.
-        let words_after = soa.memory_words();
+        let mut sh = loaded();
+        let moved = sh.extract_range(0, 2);
+        assert_eq!(moved, &LOADED_TEXT[..LOADED_TEXT.find("vert 2").unwrap()]);
+        assert_eq!(sh.len(), 1);
+        assert!(!sh.contains(0) && !sh.contains(1) && sh.contains(2));
+        // The trimmed shard must not keep charging for the moved slots.
+        let words_after = sh.memory_words();
         assert!(
             words_after < 20,
             "trimmed shard footprint too large: {words_after}"
         );
     }
 
-    /// Satellite: the SoA resident accounting matches a hand-computed
-    /// figure for a known shard within 10%.
+    /// Satellite: the resident accounting matches a hand-computed figure
+    /// for a known shard within 10%.
     ///
-    /// Hand computation for `loaded_pair`'s SoA shard (bulk loads use zero
-    /// headroom, so caps == lens and the arenas are hole-free):
+    /// Hand computation for `loaded`'s shard (bulk loads use zero headroom,
+    /// so caps == lens and the arenas are hole-free):
     ///
     /// * slot arrays, 3 slots: comp 3x4 + size 3x4 + tpos 3x12 + apos 3x12
     ///   = 96 bytes
@@ -1735,9 +1480,9 @@ mod tests {
     /// total = 328 bytes = ceil(328 / 8) = 41 words.
     #[test]
     fn soa_resident_words_within_10pct_of_hand_count() {
-        let (_, soa) = loaded_pair();
+        let sh = loaded();
         let hand = 41.0_f64;
-        let got = soa.memory_words() as f64;
+        let got = sh.memory_words() as f64;
         assert!(
             (got - hand).abs() <= hand * 0.10,
             "resident {got} vs hand-computed {hand}"
@@ -1748,28 +1493,27 @@ mod tests {
 
     #[test]
     fn soa_arena_compaction_bounds_holes() {
-        let mut soa = Shard::new_range(Layout::Soa, 0, 64);
+        let mut sh = Shard::new_range(0, 64);
         // Repeatedly grow and clear adjacency on every vertex; the arena
         // must stay within 2x live + slack despite all the relocations.
         for round in 0..6u64 {
             for v in 0..64u32 {
                 for far in 0..8u32 {
-                    soa.adj_set(v, 100 + far, non_tree(round, 7), round);
+                    sh.adj_set(v, 100 + far, non_tree(round, 7), round);
                 }
             }
             for v in 0..64u32 {
                 for far in 0..4u32 {
-                    soa.adj_remove(v, 100 + far);
+                    sh.adj_remove(v, 100 + far);
                 }
             }
         }
-        let Shard::Soa(s) = &soa else { unreachable!() };
-        assert_eq!(s.adj_live, 64 * 4);
+        assert_eq!(sh.adj_live, 64 * 4);
         assert!(
-            s.afar.len() <= 2 * s.adj_live + 64,
+            sh.afar.len() <= 2 * sh.adj_live + 64,
             "adjacency arena not compacted: {} live {}",
-            s.afar.len(),
-            s.adj_live
+            sh.afar.len(),
+            sh.adj_live
         );
     }
 }

@@ -1,13 +1,14 @@
 //! The per-vertex structural sweep the shard used before its op plans, kept
 //! only as the reference of a differential test: for every vertex, a copy of
 //! its index list through [`apply_op_to_vertex`], then a generic rewrite of
-//! every adjacency entry under the whole broadcast. The test drives random
-//! links (with reroots) and cuts (removing or demoting, with and without a
-//! replacement search) over a small forest split across three shards, and
-//! checks that the plan-based sweep of both layouts leaves the same state and
-//! reports the same [`ApplyOutcome`].
+//! every adjacency entry under the whole broadcast. It runs over materialized
+//! `VertexState`s, so it shares none of the plan sweep's in-place arena
+//! code. The test drives random links (with reroots) and cuts (removing or
+//! demoting, with and without a replacement search) over a small forest
+//! split across three shards, and checks that the plan-based sweep leaves the
+//! same state and reports the same [`ApplyOutcome`].
 
-use super::{ApplyOutcome, EntryKind, MapShard, Shard};
+use super::{ApplyOutcome, EntryKind, Shard};
 use crate::messages::StructBroadcast;
 use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot, CompId, TourOp};
 use dmpc_eulertour::TourIx;
@@ -30,7 +31,7 @@ struct VertFlags {
 }
 
 /// True iff `update_core` would touch a vertex with component id `c` at
-/// all — lets the SoA sweep skip the tour-index copy for bystanders.
+/// all — lets the sweep skip the tour-index copy for bystanders.
 #[inline]
 fn core_member(b: &StructBroadcast, c: CompId) -> bool {
     let rerooted = matches!(b.reroot, Some(TourOp::Reroot { comp, .. }) if comp == c);
@@ -246,11 +247,13 @@ fn rewrite_entry(
     }
 }
 
-/// The reference sweep over a map-layout shard.
-fn sweep(m: &mut MapShard, b: &StructBroadcast) -> ApplyOutcome {
+/// [`Shard::apply_struct`] with the reference sweep: every vertex is
+/// materialized, swept, and loaded back; then the op edge's entries are
+/// materialized as on the plan path.
+fn apply_struct(sh: &mut Shard, b: &StructBroadcast) -> ApplyOutcome {
     let mut best: Option<(Weight, Edge)> = None;
     let mut outcome = ApplyOutcome::default();
-    for (&v, st) in m.verts.iter_mut() {
+    for (v, mut st) in sh.vertices() {
         let fl = if core_member(b, st.comp) {
             update_core(b, v, &mut st.comp, &mut st.size, &mut st.idx)
         } else {
@@ -266,17 +269,9 @@ fn sweep(m: &mut MapShard, b: &StructBroadcast) -> ApplyOutcome {
                 outcome.owns_child = true;
             }
         }
+        sh.load_vertex(v, st);
     }
     outcome.best = best.map(|(w, e)| (e, w));
-    outcome
-}
-
-/// [`Shard::apply_struct`] with the reference sweep (map layout only).
-fn apply_struct(sh: &mut Shard, b: &StructBroadcast) -> ApplyOutcome {
-    let Shard::Map(m) = sh else {
-        panic!("the reference sweep runs on the map layout")
-    };
-    let outcome = sweep(m, b);
     sh.materialize_edge(b);
     outcome
 }
@@ -285,7 +280,6 @@ mod tests {
     use super::*;
     use crate::messages::CutMode;
     use dmpc_eulertour::indexed::IndexedForest;
-    use dmpc_mpc::Layout;
     use proptest::prelude::*;
     use proptest::TestRng;
     use std::collections::BTreeMap;
@@ -306,29 +300,29 @@ mod tests {
         relinks: usize,
     }
 
-    /// One op stream applied to three shard sets: the plan sweep on the
-    /// SoA and map layouts, and the reference sweep on the map layout.
-    /// `IndexedForest` generates the ops and checks the tour state.
+    /// One op stream applied to two shard sets: the plan sweep and the
+    /// reference sweep. `IndexedForest` generates the ops and checks the
+    /// tour state.
     struct Harness {
         fo: IndexedForest,
         /// Graph edges: weight and whether the edge is a tree edge.
         edges: BTreeMap<Edge, (Weight, bool)>,
-        sets: [Vec<Shard>; 3],
+        sets: [Vec<Shard>; 2],
         cov: Coverage,
     }
 
     impl Harness {
         fn new() -> Self {
-            let set = |layout| {
+            let set = || {
                 RANGES
                     .iter()
-                    .map(|&(lo, hi)| Shard::new_range(layout, lo, hi))
+                    .map(|&(lo, hi)| Shard::new_range(lo, hi))
                     .collect()
             };
             Harness {
                 fo: IndexedForest::new(N as usize),
                 edges: BTreeMap::new(),
-                sets: [set(Layout::Soa), set(Layout::Map), set(Layout::Map)],
+                sets: [set(), set()],
                 cov: Coverage::default(),
             }
         }
@@ -341,17 +335,14 @@ mod tests {
         }
 
         fn apply(&mut self, b: &StructBroadcast) {
-            let [soa, map, refr] = &mut self.sets;
+            let [plan, refr] = &mut self.sets;
             let want: Vec<ApplyOutcome> = refr.iter_mut().map(|sh| apply_struct(sh, b)).collect();
-            let got_soa: Vec<ApplyOutcome> = soa.iter_mut().map(|sh| sh.apply_struct(b)).collect();
-            let got_map: Vec<ApplyOutcome> = map.iter_mut().map(|sh| sh.apply_struct(b)).collect();
-            assert_eq!(got_soa, want, "SoA outcome of {b:?}");
-            assert_eq!(got_map, want, "map outcome of {b:?}");
+            let got: Vec<ApplyOutcome> = plan.iter_mut().map(|sh| sh.apply_struct(b)).collect();
+            assert_eq!(got, want, "outcome of {b:?}");
             self.cov.candidates += want.iter().filter(|o| o.best.is_some()).count();
             for m in 0..RANGES.len() {
-                let want = self.sets[2][m].vertices();
-                assert_eq!(self.sets[0][m].vertices(), want, "SoA state after {b:?}");
-                assert_eq!(self.sets[1][m].vertices(), want, "map state after {b:?}");
+                let want = self.sets[1][m].vertices();
+                assert_eq!(self.sets[0][m].vertices(), want, "state after {b:?}");
                 for (v, st) in &want {
                     assert_eq!(st.comp, self.fo.comp_of(*v), "comp of {v}");
                     assert_eq!(st.size, self.fo.tree_size(*v) as u64, "size of {v}");
@@ -481,8 +472,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The plan sweep of both layouts equals the reference sweep, op by
-        /// op, in state and outcome.
+        /// The plan sweep equals the reference sweep, op by op, in state and
+        /// outcome.
         #[test]
         fn plan_sweep_matches_reference(ops in ops()) {
             let mut h = Harness::new();

@@ -10,7 +10,6 @@ use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
 use dmpc_graph::matching::Matching;
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, V};
 use dmpc_mpc::chaos::ChaosKind;
-use dmpc_mpc::Layout as StateLayout;
 use dmpc_mpc::{
     BatchMetrics, Cluster, ClusterConfig, Envelope, ExecOptions, Machine, MachineId, Outbox,
     QueryMetrics, RoundCtx, UpdateMetrics, COORDINATOR,
@@ -131,12 +130,6 @@ impl DmpcMaximalMatching {
         Self::with_mode_exec(params, false, exec)
     }
 
-    /// Creates an empty instance with an explicit storage state layout
-    /// (map/SoA; layout-differential testing and benches).
-    pub fn with_state_layout(params: DmpcParams, exec: ExecOptions, state: StateLayout) -> Self {
-        Self::with_opts(params, false, exec, state)
-    }
-
     pub(crate) fn with_mode(params: DmpcParams, three_halves: bool) -> Self {
         Self::with_mode_exec(params, three_halves, ExecOptions::default())
     }
@@ -145,15 +138,6 @@ impl DmpcMaximalMatching {
         params: DmpcParams,
         three_halves: bool,
         exec: ExecOptions,
-    ) -> Self {
-        Self::with_opts(params, three_halves, exec, StateLayout::default())
-    }
-
-    fn with_opts(
-        params: DmpcParams,
-        three_halves: bool,
-        exec: ExecOptions,
-        state: StateLayout,
     ) -> Self {
         let layout = Layout::new(&params);
         let mut machines = Vec::with_capacity(layout.total_machines());
@@ -170,9 +154,7 @@ impl DmpcMaximalMatching {
         for i in 0..layout.n_storage {
             let lo = (i * layout.storage_block) as V;
             let hi = (((i + 1) * layout.storage_block).min(layout.n)) as V;
-            machines.push(Role::Storage(StorageMachine::with_layout(
-                lo, hi, layout.tau, state,
-            )));
+            machines.push(Role::Storage(StorageMachine::new(lo, hi, layout.tau)));
         }
         for _ in 0..layout.n_overflow {
             machines.push(Role::Overflow(OverflowMachine::default()));
@@ -652,5 +634,41 @@ impl dmpc_core::ElasticAlgorithm for DmpcMaximalMatching {
             .map(|m| self.cluster.machine(m).snapshot_text())
             .collect();
         dmpc_core::digest_snapshots(snaps.iter().map(|s| s.as_str()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmpc_graph::streams;
+
+    /// The storage machines' arena resident memory stays within 25% of the
+    /// per-vertex map model of the same state on a loaded instance: arena
+    /// entries are cheaper (~1.125 vs 4 words per alive entry), and slack
+    /// between compactions is bounded by the `live/8 + 16` threshold plus
+    /// growth headroom.
+    #[test]
+    fn soa_resident_within_slack_of_map() {
+        let n = 128;
+        let mut alg = DmpcMaximalMatching::new(DmpcParams::new(n, 3 * n));
+        for &u in &streams::churn_stream(n, 2 * n, 384, 0.55, 42) {
+            match u {
+                Update::Insert(e) => alg.insert(e),
+                Update::Delete(e) => alg.delete(e),
+            };
+        }
+        let rs = alg.resident_words();
+        let rm: usize = alg
+            .cluster
+            .machines()
+            .map(|m| match m {
+                Role::Storage(s) => s.map_model_words(),
+                other => other.memory_words(),
+            })
+            .sum();
+        assert!(
+            rs <= rm + rm / 4,
+            "SoA resident {rs} words exceeds map resident {rm} words by more than 25%"
+        );
     }
 }

@@ -21,21 +21,18 @@
 use crate::chaos::{ChaosKind, ChaosPlan};
 use crate::machine::{Envelope, Machine, Payload as _, Scheduler};
 use crate::metrics::{BatchMetrics, RoundMetrics, UpdateMetrics, Violation};
-use crate::parallel::{step_scope, worker_task, Group, StepEnv, WorkerScratch};
+use crate::parallel::{worker_task, Group, StepEnv, WorkerScratch};
 use crate::pool::WorkerPool;
 use crate::MachineId;
 
-/// Which machine-stepping backend drives a round. All three are
-/// bit-identical in observable behaviour (machine states and metrics);
-/// they differ only in wall-clock cost.
+/// Which machine-stepping backend drives a round. Both are bit-identical
+/// in observable behaviour (machine states and metrics); they differ only
+/// in wall-clock cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Step every active machine on the calling thread.
     #[default]
     Serial,
-    /// Legacy parallel backend: spawn scoped threads every round
-    /// (`std::thread::scope`). Kept for differential testing.
-    ScopeThreads,
     /// Persistent worker pool: threads are created once per cluster and
     /// reused across all rounds, updates and batches.
     WorkerPool,
@@ -229,7 +226,7 @@ impl<M: Machine> Cluster<M> {
     pub fn new(machines: Vec<M>, cfg: ClusterConfig) -> Self {
         let threads = match cfg.backend {
             Backend::Serial => 1,
-            Backend::ScopeThreads | Backend::WorkerPool => {
+            Backend::WorkerPool => {
                 if cfg.threads == 0 {
                     std::thread::available_parallelism()
                         .map(|p| p.get())
@@ -572,9 +569,7 @@ impl<M: Machine> Cluster<M> {
         // Step the active machines over contiguous group chunks.
         let used = match self.cfg.backend {
             Backend::Serial => 1,
-            Backend::ScopeThreads | Backend::WorkerPool => {
-                self.threads.min(self.groups.len()).max(1)
-            }
+            Backend::WorkerPool => self.threads.min(self.groups.len()).max(1),
         };
         let env = StepEnv {
             machines: self.machines.as_mut_ptr(),
@@ -594,14 +589,8 @@ impl<M: Machine> Cluster<M> {
             // Fast lane for serial stepping (also covers 1-thread pools).
             unsafe { worker_task(&env, 0) };
         } else {
-            match self.cfg.backend {
-                Backend::Serial => unreachable!("serial uses one worker"),
-                Backend::ScopeThreads => step_scope(&env, used),
-                Backend::WorkerPool => {
-                    let pool = self.pool.as_mut().expect("pool exists when threads > 1");
-                    pool.execute(used, &|t| unsafe { worker_task(&env, t) });
-                }
-            }
+            let pool = self.pool.as_mut().expect("pool exists when threads > 1");
+            pool.execute(used, &|t| unsafe { worker_task(&env, t) });
         }
 
         // Merge per-worker outputs in worker order (= ascending machine
